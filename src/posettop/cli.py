@@ -7,19 +7,17 @@ object is serializable JSON, so a pipeline like
 
 is reproducible step by step.  Exit codes: 0 on success, 1 when a
 mathematical check fails (a non-CM verdict, a failed Koszul test, a
-failed verification run), 2 on usage errors.
+failed verification run), 2 on usage errors and on size limits.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .cohen_macaulay import cm_report_to_data, is_cm_poset, parse_cm_coefficients
+from .cohen_macaulay import cm_report_to_data, is_cm_poset
 from .complexes import (
     barycentric_subdivision,
     complex_from_json,
@@ -39,10 +37,8 @@ from .constructions import (
     rees_deranged,
     segre,
     subword,
-    weighted_segre,
 )
-from .homology import homology, summary_to_data
-from .intmatrix import is_prime
+from .homology import homology, parse_coefficients, summary_to_data
 from .permutations import (
     derangements,
     falling_chains_segre_square,
@@ -60,46 +56,11 @@ from .semigroups import (
 from .verification import default_thread_count, run_verification
 
 
-@dataclass
-class RunConfig:
-    """Validated options for the verification runner.
-
-    Bounds must be positive and any prime-field selector must really be
-    prime (the field parser enforces that on the way in).
-    """
-
-    command: str
-    input_paths: tuple[str, ...] = ()
-    output_path: Optional[str] = None
-    coefficients: object = "Q"
-    output_format: str = "text"
-    bounds: dict = field(default_factory=dict)
-    threads: int = 1
-
-    def __post_init__(self):
-        for name, value in self.bounds.items():
-            if not isinstance(value, bool) and value is not None and value <= 0:
-                raise ValueError(f"bound {name} must be positive, got {value}")
-        if self.threads is not None and self.threads <= 0:
-            raise ValueError("threads must be positive")
-        if isinstance(self.coefficients, int) and not is_prime(self.coefficients):
-            raise ValueError(f"{self.coefficients} is not prime")
-
-
-def _field_selector(value: str):
-    """Parse q | gf:p | z | z-spherical, validating primality."""
-    s = value.strip().lower()
-    if s in ("q", "z", "z-spherical", "spherical"):
-        return s
-    if s.startswith("gf:"):
-        rest = s[3:]
-        if not rest.isdigit():
-            raise argparse.ArgumentTypeError(f"{rest!r} is not a prime")
-        p = int(rest)
-        if not is_prime(p):
-            raise argparse.ArgumentTypeError(f"{p} is not prime")
-        return p
-    raise argparse.ArgumentTypeError(f"unknown field {value!r}")
+def _coefficients(value: str):
+    try:
+        return parse_coefficients(value)
+    except ValueError as e:
+        raise argparse.ArgumentTypeError(str(e)) from None
 
 
 def _positive_int(value: str) -> int:
@@ -211,13 +172,13 @@ def build_parser() -> argparse.ArgumentParser:
     h = sub.add_parser("homology", parents=[out], help="reduced homology of a complex")
     h.add_argument("complex", nargs="?", default="-",
                    help="complex JSON file (default: stdin)")
-    h.add_argument("--coefficients", type=_field_selector, default="z",
+    h.add_argument("--coefficients", type=_coefficients, default="z",
                    help="z | q | gf:p (default z)")
 
     m = sub.add_parser("cm", parents=[out], help="Cohen-Macaulay analysis of a poset")
     m.add_argument("poset", nargs="?", default="-",
                    help="poset JSON file (default: stdin)")
-    m.add_argument("--field", type=_field_selector, default="q",
+    m.add_argument("--field", type=_coefficients, default="q",
                    help="q | gf:p | z-spherical")
     m.add_argument("--format", choices=("text", "json"), default="text")
 
@@ -227,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("semigroup", nargs="?", default="-",
                    help="semigroup JSON file (default: stdin)")
     p.add_argument("--max-rank", type=_positive_int, required=True)
-    p.add_argument("--field", type=_field_selector, default="q")
+    p.add_argument("--field", type=_coefficients, default="q")
     p = ssub.add_parser("natural", parents=[out])
     p.add_argument("--d", type=_positive_int, required=True)
     p = ssub.add_parser("veronese-punctured", parents=[out])
@@ -320,8 +281,7 @@ def _cmd_complex(args) -> int:
 
 def _cmd_homology(args) -> int:
     K = complex_from_json(_read_text(args.complex))
-    coeffs = args.coefficients
-    summary = homology(K, None if coeffs == "z" else coeffs)
+    summary = homology(K, args.coefficients)
     _write_text(json.dumps(summary_to_data(summary)) + "\n", args.output)
     return 0
 
@@ -398,24 +358,18 @@ def _cmd_verify(args) -> int:
             return min(cap, default)
         return default
 
-    cfg = RunConfig(
-        command="verify-paper",
-        output_path=args.output,
-        output_format=args.format,
-        bounds={"table_max_n": bound(args.table_max_n, 6),
-                "rees_max_n": bound(args.rees_max_n, 6),
-                "subword_max_n": bound(args.subword_max_n, 5),
-                "mobius_max_n": bound(args.mobius_max_n, 5),
-                "oracle_samples": args.oracle_samples},
-        threads=args.threads if args.threads else default_thread_count())
     report = run_verification(
+        table_max_n=bound(args.table_max_n, 6),
+        rees_max_n=bound(args.rees_max_n, 6),
+        subword_max_n=bound(args.subword_max_n, 5),
+        mobius_max_n=bound(args.mobius_max_n, 5),
+        oracle_samples=args.oracle_samples,
         include_rees_7=args.include_rees_7,
-        threads=cfg.threads,
-        **cfg.bounds)
-    if cfg.output_format == "json":
-        _write_text(report.to_json(), cfg.output_path)
+        threads=args.threads if args.threads else default_thread_count())
+    if args.format == "json":
+        _write_text(report.to_json(), args.output)
     else:
-        _write_text(report.describe() + "\n", cfg.output_path)
+        _write_text(report.describe() + "\n", args.output)
     return 0 if report.all_passed else 1
 
 
@@ -438,7 +392,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _HANDLERS[args.command](args)
     except BrokenPipeError:
         return 0
-    except (ValueError, OSError, json.JSONDecodeError) as e:
+    except (ValueError, OSError, RuntimeError) as e:
+        # RuntimeError covers SizeLimitError: a limit is not a verdict
         print(f"error: {e}", file=sys.stderr)
         return 2
 

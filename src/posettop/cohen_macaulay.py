@@ -16,15 +16,15 @@ distinction honest.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from .complexes import order_complex
-from .homology import HomologySummary, field_name, integral_homology
+from .homology import HomologySummary, field_name, integral_homology, parse_coefficients
 from .posets import (
     Poset,
     PosetError,
     PurityFailure,
+    SizeLimitError,
     _refine_colors,
     augment,
     find_isomorphism,
@@ -37,19 +37,10 @@ CoeffSpec = Union[str, int]
 SPHERICAL = "Z-spherical"
 
 
-def parse_cm_coefficients(c: CoeffSpec):
-    """Normalize to "Q", a prime int, or the integral-spherical marker."""
-    if isinstance(c, str):
-        s = c.strip().lower()
-        if s in ("z-spherical", "spherical", "integral-spherical", "z"):
-            return SPHERICAL
-    from .homology import _parse_field
-    return _parse_field(c)
-
-
 def cm_coefficient_name(c: CoeffSpec) -> str:
-    c = parse_cm_coefficients(c)
-    return SPHERICAL if c == SPHERICAL else field_name(c)
+    """Report name of a selector; the integers name the spherical mode."""
+    c = parse_coefficients(c)
+    return SPHERICAL if c == "Z" else field_name(c)
 
 
 @dataclass(frozen=True)
@@ -100,28 +91,32 @@ def cm_report_to_data(r: CMReport) -> dict:
 
 
 class _IntervalCache:
-    """Canonical-invariant buckets of interval posets with known homology."""
+    """Integral homology of interval posets, computed once per isomorphism
+    class.
+
+    Posets are bucketed by size, cover count and sorted refined colours;
+    a hit is confirmed by an exact isomorphism search.  A pair too large
+    for that search counts as a miss, so the cache never refuses a poset
+    it could compute directly.  ``runs`` counts the homology computations.
+    """
 
     def __init__(self):
         self.buckets: dict = {}
-        self.hits = 0
-        self.misses = 0
+        self.runs = 0
 
-    def key(self, P: Poset):
-        colors = tuple(sorted(_refine_colors(P)))
-        return (len(P.labels), len(P.covers), colors)
-
-    def get(self, P: Poset) -> Optional[HomologySummary]:
-        bucket = self.buckets.get(self.key(P), ())
-        for (Q, summary) in bucket:
-            if find_isomorphism(P, Q) is not None:
-                self.hits += 1
-                return summary
-        return None
-
-    def put(self, P: Poset, summary: HomologySummary):
-        self.misses += 1
-        self.buckets.setdefault(self.key(P), []).append((P, summary))
+    def homology(self, P: Poset) -> HomologySummary:
+        key = (len(P.labels), len(P.covers), tuple(sorted(_refine_colors(P))))
+        bucket = self.buckets.setdefault(key, [])
+        try:
+            for (Q, summary) in bucket:
+                if find_isomorphism(P, Q) is not None:
+                    return summary
+        except SizeLimitError:
+            pass  # every entry has P's size, so none can be compared
+        summary = integral_homology(order_complex(P))
+        self.runs += 1
+        bucket.append((P, summary))
+        return summary
 
 
 def _interval_items(P: Poset, use_cache: bool = True):
@@ -152,22 +147,25 @@ def _interval_items(P: Poset, use_cache: bool = True):
                 yield (xi, yj, 1, None)  # empty interval, passes by convention
                 continue
             interval = _induced_by_indices(A, list(iter_bits(between)))
-            summary = cache.get(interval) if cache else None
-            if summary is None:
+            if cache is not None:
+                summary = cache.homology(interval)
+            else:
                 summary = integral_homology(order_complex(interval))
-                if cache is not None:
-                    cache.put(interval, summary)
             yield (xi, yj, gap, summary)
 
 
 def _summary_violations(summary: Optional[HomologySummary], gap: int, coeffs):
-    """Nonzero homology dimensions outside ``gap - 2``, for the mode."""
+    """Nonzero homology dimensions outside ``gap - 2``, for the mode.
+
+    ``coeffs`` is a parsed selector: ``"Z"`` is the spherical mode, which
+    also rejects torsion in dimension ``gap - 2``.
+    """
     d = gap - 2
     if summary is None:  # empty interval (cover pair)
         return () if d == -1 else ("H~-1 = Z (empty interval)",)
     if summary.empty_complex:
         return () if d == -1 else ("H~-1 = Z (empty interval)",)
-    if coeffs == SPHERICAL:
+    if coeffs == "Z":
         bad = []
         for i in summary.nonzero_dims():
             if i != d:
@@ -197,8 +195,8 @@ def is_cm_poset(P: Poset, coeffs: CoeffSpec = "Q", use_cache: bool = True) -> CM
     >>> bool(is_cm_poset(boolean(3), "Q"))
     True
     """
-    mode = parse_cm_coefficients(coeffs)
-    name = cm_coefficient_name(coeffs)
+    mode = parse_coefficients(coeffs)
+    name = cm_coefficient_name(mode)
     if len(P) == 0:
         raise PosetError("the empty poset is excluded from CM analysis")
     info = rank_info(P)
@@ -222,11 +220,11 @@ def is_cm_complex(K, coeffs: CoeffSpec = "Q", use_cache: bool = True) -> CMRepor
 
 def is_acyclic_over(P: Poset, coeffs: CoeffSpec) -> bool:
     """All reduced homology of the order complex vanishes over the field."""
-    mode = parse_cm_coefficients(coeffs)
+    mode = parse_coefficients(coeffs)
     summary = integral_homology(order_complex(P))
     if summary.empty_complex:
         return False
-    if mode == SPHERICAL:
+    if mode == "Z":
         return summary.is_trivial()
     return all(summary.field_betti(i, mode) == 0
                for i in range(len(summary.groups) + 1))

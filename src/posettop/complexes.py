@@ -14,11 +14,10 @@ from __future__ import annotations
 import itertools
 import json
 import warnings
-from typing import Any, Hashable, Iterable, Mapping, Optional, Sequence
+from typing import Hashable, Iterable, Mapping, Optional, Sequence
 
 from .posets import (
     Poset,
-    PosetError,
     build_poset,
     display_label,
     iter_bits,

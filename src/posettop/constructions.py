@@ -13,7 +13,6 @@ from functools import lru_cache
 from typing import Iterable, Mapping, Union
 
 from .posets import (
-    ImpurePosetError,
     Poset,
     PosetError,
     PosetMap,
@@ -73,29 +72,41 @@ def product(P: Poset, Q: Poset) -> Poset:
     return Poset(labels, covers, _validated=True)
 
 
+def _pullback(P: Poset, Q: Poset, slack) -> Poset:
+    """Subposet of the product on the pairs ``(p, q)`` with ``slack(p, q)``
+    not ``None``, where a pair lies below another iff it does so in the
+    product and its slack is no larger."""
+    pairs = []
+    weights = []
+    for i, p in enumerate(P.labels):
+        for j, q in enumerate(Q.labels):
+            w = slack(p, q)
+            if w is not None:
+                pairs.append((i, j))
+                weights.append(w)
+    above_p = P.above_masks()
+    above_q = Q.above_masks()
+    above = [0] * len(pairs)
+    for a, (i1, j1) in enumerate(pairs):
+        pa = above_p[i1]
+        qa = above_q[j1]
+        w1 = weights[a]
+        for b, (i2, j2) in enumerate(pairs):
+            if a == b:
+                continue
+            if (i1 == i2 or (pa >> i2 & 1)) and (j1 == j2 or (qa >> j2 & 1)) \
+                    and weights[b] >= w1:
+                above[a] |= 1 << b
+    labels = tuple((P.labels[i], Q.labels[j]) for (i, j) in pairs)
+    return poset_from_order(labels, above)
+
+
 def segre(P: Poset, f: MapLike, Q: Poset, g: MapLike) -> Poset:
     """Pullback of two maps into the naturals: the induced subposet of
     the product on the pairs where the map values agree."""
     fm = _as_nat_map(P, f, "f")
     gm = _as_nat_map(Q, g, "g")
-    pairs = [(i, j)
-             for i, p in enumerate(P.labels)
-             for j, q in enumerate(Q.labels)
-             if fm(p) == gm(q)]
-    above_p = P.above_masks()
-    above_q = Q.above_masks()
-    n = len(pairs)
-    above = [0] * n
-    for a, (i1, j1) in enumerate(pairs):
-        pa = above_p[i1]
-        qa = above_q[j1]
-        for b, (i2, j2) in enumerate(pairs):
-            if a == b:
-                continue
-            if (i1 == i2 or (pa >> i2 & 1)) and (j1 == j2 or (qa >> j2 & 1)):
-                above[a] |= 1 << b
-    labels = tuple((P.labels[i], Q.labels[j]) for (i, j) in pairs)
-    return poset_from_order(labels, above)
+    return _pullback(P, Q, lambda p, q: 0 if fm(p) == gm(q) else None)
 
 
 @dataclass(frozen=True)
@@ -145,28 +156,7 @@ def rees(P: Poset, Q: Poset) -> Poset:
     rank(q') - rank(q)``.  Both factors must be pure."""
     rp = require_rank_info(P).rank
     rq = require_rank_info(Q).rank
-    pairs = [(i, j)
-             for i, p in enumerate(P.labels)
-             for j, q in enumerate(Q.labels)
-             if rp[p] >= rq[q]]
-    above_p = P.above_masks()
-    above_q = Q.above_masks()
-    n = len(pairs)
-    above = [0] * n
-    for a, (i1, j1) in enumerate(pairs):
-        pa = above_p[i1]
-        qa = above_q[j1]
-        d1 = rp[P.labels[i1]] - rq[Q.labels[j1]]
-        for b, (i2, j2) in enumerate(pairs):
-            if a == b:
-                continue
-            if not ((i1 == i2 or (pa >> i2 & 1)) and (j1 == j2 or (qa >> j2 & 1))):
-                continue
-            d2 = rp[P.labels[i2]] - rq[Q.labels[j2]]
-            if d2 >= d1:
-                above[a] |= 1 << b
-    labels = tuple((P.labels[i], Q.labels[j]) for (i, j) in pairs)
-    return poset_from_order(labels, above)
+    return _pullback(P, Q, lambda p, q: rp[p] - rq[q] if rp[p] >= rq[q] else None)
 
 
 def rank_select(P: Poset, ranks: Iterable[int]) -> Poset:

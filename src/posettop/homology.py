@@ -23,7 +23,6 @@ from typing import Mapping, Sequence, Union
 from .complexes import ComplexError, SimplicialComplex, poset_chains_by_size
 from .intmatrix import (
     IntegerMatrix,
-    SNFDecomposition,
     _snf_divisors,
     is_prime,
     rank_mod_p,
@@ -31,30 +30,45 @@ from .intmatrix import (
     smith_normal_form,
 )
 
-FieldSpec = Union[str, int]  # "Q" or a prime p
+FieldSpec = Union[str, int]  # "Z", "Q" or a prime p
 
 
-def _parse_field(f: FieldSpec):
-    """Normalize a field selector to "Q" or a prime int."""
-    if isinstance(f, str):
-        s = f.strip().lower()
+def parse_coefficients(c: FieldSpec):
+    """Normalize a coefficient selector to ``"Z"``, ``"Q"`` or a prime int.
+
+    ``z``, ``z-spherical``, ``spherical`` and ``integral-spherical`` give
+    ``"Z"``; ``q``, ``rational`` and ``rationals`` give ``"Q"``;
+    ``gf:p``, a digit string or an int give the prime ``p``.  Case and
+    surrounding blanks are ignored; anything else raises ``ValueError``.
+    """
+    if isinstance(c, str):
+        s = c.strip().lower()
+        if s in ("z", "z-spherical", "spherical", "integral-spherical"):
+            return "Z"
         if s in ("q", "rational", "rationals"):
             return "Q"
         if s.startswith("gf:"):
             s = s[3:]
-        if s.isdigit():
-            f = int(s)
-        else:
-            raise ValueError(f"unknown field {f!r}")
-    if isinstance(f, int):
-        if not is_prime(f):
-            raise ValueError(f"{f} is not prime")
-        return f
-    raise ValueError(f"unknown field {f!r}")
+        if not s.isdigit():
+            raise ValueError(f"unknown coefficients {c!r}")
+        c = int(s)
+    if isinstance(c, int):
+        if not is_prime(c):
+            raise ValueError(f"{c} is not prime")
+        return c
+    raise ValueError(f"unknown coefficients {c!r}")
+
+
+def _field(f: FieldSpec):
+    """``"Q"`` or a prime; the integers are refused."""
+    f = parse_coefficients(f)
+    if f == "Z":
+        raise ValueError("Z is not a field")
+    return f
 
 
 def field_name(f: FieldSpec) -> str:
-    f = _parse_field(f)
+    f = _field(f)
     return "Q" if f == "Q" else f"GF({f})"
 
 
@@ -102,11 +116,12 @@ class HomologySummary:
 
     def group_str(self, i: int) -> str:
         b, t = self.betti(i), self.torsion(i)
+        ring = self.coefficients
         parts = []
         if b == 1:
-            parts.append("Z")
+            parts.append(ring)
         elif b > 1:
-            parts.append(f"Z^{b}")
+            parts.append(f"{ring}^{b}")
         parts.extend(f"Z/{d}" for d in t)
         return " + ".join(parts) if parts else "0"
 
@@ -128,7 +143,7 @@ class HomologySummary:
         """
         if self.coefficients != "Z":
             raise ValueError("field_betti needs an integral summary")
-        f = _parse_field(f)
+        f = _field(f)
         b = self.betti(i)
         if f == "Q":
             return b
@@ -210,7 +225,7 @@ def betti(K: SimplicialComplex, f: FieldSpec = "Q") -> HomologySummary:
     >>> betti(simplex_boundary(3), "Q").nonzero_dims()
     (1,)
     """
-    f = _parse_field(f)
+    f = _field(f)
     name = field_name(f)
     if K.is_void:
         raise ComplexError("void complex has no homology")
@@ -287,13 +302,9 @@ class _CellComplex:
         return len(self.counts)
 
 
-def _chain_layers(P) -> list[list[tuple[int, ...]]]:
-    return poset_chains_by_size(P)
-
-
 def _cell_complex(K: SimplicialComplex) -> _CellComplex:
     if K.source_poset is not None:
-        layers = _chain_layers(K.source_poset)
+        layers = poset_chains_by_size(K.source_poset)
     else:
         layers = K.faces_by_dim()
     return _CellComplex(layers)
@@ -469,7 +480,6 @@ def _integral_homology_direct(K: SimplicialComplex) -> HomologySummary:
 
 def homology(K: SimplicialComplex, coefficients: FieldSpec | None = None) -> HomologySummary:
     """Homology with the given coefficients; ``None`` or ``"Z"`` means integral."""
-    if coefficients is None or (isinstance(coefficients, str)
-                                and coefficients.strip().lower() == "z"):
+    if coefficients is None or parse_coefficients(coefficients) == "Z":
         return integral_homology(K)
     return betti(K, coefficients)

@@ -12,7 +12,7 @@ prime fields, so the Smith normal form has an honest oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 
 class MatrixError(ValueError):

@@ -14,13 +14,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
+from .cohen_macaulay import _IntervalCache, _summary_violations, cm_coefficient_name
+from .homology import parse_coefficients
 from .posets import (
     Poset,
-    PosetError,
+    PurityFailure,
     SizeLimitError,
     induced_subposet,
-    _refine_colors,
-    find_isomorphism,
+    rank_info,
 )
 
 DEFAULT_LAYER_CAP = 200_000
@@ -260,21 +261,17 @@ def koszul_necessary_test(S: HomogeneousSemigroup, max_rank: int,
     """Test the Koszul interval criterion for all elements of degree at
     most ``max_rank`` (which must be at least 2).
 
-    Isomorphic intervals are deduplicated before homology is computed.
+    Isomorphic intervals share one homology computation, and the verdict
+    on each interval is the Cohen-Macaulay sweep's, with rank gap ``m``
+    for an element of degree ``m``.
     """
-    from .cohen_macaulay import cm_coefficient_name, parse_cm_coefficients, SPHERICAL
-    from .complexes import order_complex
-    from .homology import integral_homology
-    from .posets import PurityFailure, rank_info
-
     if max_rank < 2:
         raise SemigroupError("need max_rank >= 2")
-    mode = parse_cm_coefficients(coeffs)
-    name = cm_coefficient_name(coeffs)
+    mode = parse_coefficients(coeffs)
+    name = cm_coefficient_name(mode)
     layers = S.enumerate_up_to(max_rank)
     checked = 0
-    runs = 0
-    cache: dict = {}
+    cache = _IntervalCache()
     for m in range(2, max_rank + 1):
         for lam in layers[m]:
             checked += 1
@@ -282,37 +279,18 @@ def koszul_necessary_test(S: HomogeneousSemigroup, max_rank: int,
             if len(P) == 0:
                 return KoszulReport(False, max_rank, name,
                                     witness=(lam, "empty open interval"),
-                                    elements_checked=checked, homology_runs=runs)
+                                    elements_checked=checked, homology_runs=cache.runs)
             info = rank_info(P)
             if isinstance(info, PurityFailure):
                 return KoszulReport(False, max_rank, name,
                                     witness=(lam, "impure interval: " + info.message),
-                                    elements_checked=checked, homology_runs=runs)
-            key = (len(P.labels), len(P.covers), tuple(sorted(_refine_colors(P))))
-            summary = None
-            for (Q, s) in cache.get(key, ()):
-                if find_isomorphism(P, Q) is not None:
-                    summary = s
-                    break
-            if summary is None:
-                summary = integral_homology(order_complex(P))
-                cache.setdefault(key, []).append((P, summary))
-                runs += 1
-            d = m - 2
-            if mode == SPHERICAL:
-                ok = summary.concentrated_in(d) and summary.is_free()
-                detail = str(summary)
-            else:
-                bad = [i for i in range(len(summary.groups) + 1)
-                       if i != d and summary.field_betti(i, mode)]
-                ok = not bad
-                detail = (f"homology in dimensions {bad} over {name}, "
-                          f"expected concentration in {d}") if bad else ""
-            if not ok:
-                return KoszulReport(False, max_rank, name, witness=(lam, detail),
-                                    elements_checked=checked, homology_runs=runs)
+                                    elements_checked=checked, homology_runs=cache.runs)
+            bad = _summary_violations(cache.homology(P), m, mode)
+            if bad:
+                return KoszulReport(False, max_rank, name, witness=(lam, "; ".join(bad)),
+                                    elements_checked=checked, homology_runs=cache.runs)
     return KoszulReport(True, max_rank, name,
-                        elements_checked=checked, homology_runs=runs)
+                        elements_checked=checked, homology_runs=cache.runs)
 
 
 # -- gradings and product semigroups ---------------------------------------

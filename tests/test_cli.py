@@ -2,8 +2,11 @@ import json
 
 import pytest
 
+from posettop import cli, semigroups
 from posettop.cli import main
-from posettop.posets import poset_from_json
+from posettop.posets import poset_from_json, poset_to_json
+
+from test_cohen_macaulay import wide_poset
 
 
 def run_cli(capsys, *argv):
@@ -117,6 +120,8 @@ class TestComplexAndHomology:
                        ["3", "4", "6"]]}))
         code, out = run_cli(capsys, "homology", str(k))
         assert json.loads(out)["dims"] == {"1": {"betti": 0, "torsion": [2]}}
+        code, spherical = run_cli(capsys, "homology", str(k), "--coefficients", "z-spherical")
+        assert code == 0 and spherical == out
         code, out = run_cli(capsys, "homology", str(k), "--coefficients", "gf:2")
         assert json.loads(out)["dims"] == {"1": {"betti": 1, "torsion": []},
                                            "2": {"betti": 1, "torsion": []}}
@@ -148,6 +153,14 @@ class TestCM:
         with pytest.raises(SystemExit) as exc:
             main(["cm", "--field", "gf:4"])
         assert exc.value.code == 2
+        assert "argument --field: 4 is not prime" in capsys.readouterr().err
+
+    def test_intervals_past_isomorphism_limit(self, capsys, tmp_path):
+        wide = tmp_path / "wide.json"
+        wide.write_text(poset_to_json(wide_poset(600)))
+        code, out = run_cli(capsys, "cm", str(wide), "--field", "q")
+        assert code == 0
+        assert "Cohen-Macaulay over Q" in out
 
 
 class TestSemigroup:
@@ -225,6 +238,17 @@ class TestErrors:
     def test_missing_file(self, capsys):
         code, _ = run_cli(capsys, "cm", "/nonexistent/p.json")
         assert code == 2
+
+    def test_size_limit_is_exit_2(self, capsys, tmp_path, monkeypatch):
+        # a layer cap of 10 makes the real enumeration stop at degree 2
+        s = tmp_path / "s.json"
+        run_cli(capsys, "-o", str(s), "semigroup", "natural", "--d", "5")
+        monkeypatch.setattr(cli, "semigroup_from_json", lambda text: semigroups.build_semigroup(
+            semigroups.semigroup_from_json(text).generators, layer_cap=10))
+        code = main(["semigroup", "koszul-test", str(s), "--max-rank", "3"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == "error: layer 2 has 15 elements, cap is 10\n"
 
 
 class TestMaxNCap:

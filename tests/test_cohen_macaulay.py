@@ -9,7 +9,6 @@ from posettop.cohen_macaulay import (
     is_acyclic_over,
     is_cm_complex,
     is_cm_poset,
-    parse_cm_coefficients,
 )
 from posettop.complexes import (
     face_poset,
@@ -27,10 +26,17 @@ from posettop.constructions import (
     rees_deranged,
     weighted_segre,
 )
+from posettop.homology import parse_coefficients
 from posettop.posets import PosetError, build_poset
 
 from test_homology import projective_plane
 from test_posets import random_pure_bounded_poset
+
+
+def wide_poset(n):
+    """``n`` minimal elements, each below both of two maximal ones."""
+    labels = [f"m{i}" for i in range(n)] + ["a", "b"]
+    return build_poset(labels, [(f"m{i}", t) for i in range(n) for t in "ab"])
 
 
 class TestIsCMPoset:
@@ -90,11 +96,24 @@ class TestIsCMPoset:
         assert data["coefficients"] == "Q"
 
     def test_coefficient_parsing(self):
-        assert parse_cm_coefficients("z-spherical") == "Z-spherical"
-        assert parse_cm_coefficients("gf:5") == 5
-        assert parse_cm_coefficients("Q") == "Q"
+        for spelling in ("z", "Z-spherical", "spherical", "integral-spherical"):
+            assert parse_coefficients(spelling) == "Z"
+        for spelling in ("Q", "rational", "rationals"):
+            assert parse_coefficients(spelling) == "Q"
+        assert parse_coefficients("gf:5") == parse_coefficients("5") == 5
         with pytest.raises(ValueError):
-            parse_cm_coefficients("gf:6")
+            parse_coefficients("gf:6")
+        with pytest.raises(ValueError):
+            parse_coefficients("reals")
+        assert is_cm_poset(boolean(2), "z").coefficients == "Z-spherical"
+
+    def test_wide_intervals_past_isomorphism_limit(self):
+        # two isomorphic 600-element intervals: too large to compare, so
+        # the cache computes both instead of raising
+        P = wide_poset(600)
+        for f in ("Q", 2, "z-spherical"):
+            assert is_cm_poset(P, f).verdict
+            assert is_cm_poset(P, f, use_cache=False).verdict
 
 
 class TestIsCMComplex:

@@ -18,6 +18,7 @@ from posettop.homology import (
     homology,
     integral_homology,
     make_summary,
+    parse_coefficients,
     summary_to_data,
 )
 from posettop.intmatrix import IntegerMatrix
@@ -96,12 +97,15 @@ class TestFieldBetti:
         assert s.concentrated_in(-1)
 
     def test_field_selector_parsing(self):
+        assert parse_coefficients("gf:2") == parse_coefficients(2) == 2
+        with pytest.raises(ValueError, match="not prime"):
+            parse_coefficients(4)
+        with pytest.raises(ValueError):
+            parse_coefficients("gf:notanumber")
         K = hexagon()
         assert betti(K, "gf:2") == betti(K, 2)
-        with pytest.raises(ValueError, match="not prime"):
-            betti(K, 4)
-        with pytest.raises(ValueError):
-            betti(K, "gf:notanumber")
+        with pytest.raises(ValueError, match="not a field"):
+            betti(K, "z")
 
 
 class TestIntegralHomology:
@@ -171,11 +175,16 @@ class TestSummaries:
         s = make_summary("Z", {1: (2, (2, 4))})
         assert s.group_str(1) == "Z^2 + Z/2 + Z/4"
         assert s.group_str(0) == "0"
+        assert make_summary("GF(2)", {3: (9, ())}).group_str(3) == "GF(2)^9"
+        assert make_summary("Q", {2: (2, ())}).group_str(2) == "Q^2"
+        over2 = betti(projective_plane(), 2)
+        assert str(over2) == "H~1 = GF(2), H~2 = GF(2) (GF(2))"
 
     def test_homology_coefficient_dispatch(self):
         K = projective_plane()
         assert homology(K) == integral_homology(K)
         assert homology(K, "Z") == integral_homology(K)
+        assert homology(K, "z-spherical") == integral_homology(K)
         assert homology(K, 2) == betti(K, 2)
 
 

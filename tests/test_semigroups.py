@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from posettop.cohen_macaulay import is_cm_poset
 from posettop.constructions import boolean, chain, rees, weighted_segre
 from posettop.posets import dual, is_isomorphic, require_rank_info
 from posettop.semigroups import (
@@ -155,6 +156,22 @@ class TestKoszulTest:
             for r in (2, 3, 4):
                 rep = koszul_necessary_test(natural_semigroup(d), r)
                 assert rep.passed, rep.describe()
+
+    def test_non_koszul_semigroup_fails_with_witness(self):
+        # the open interval below (6, 3) has two components where a
+        # connected one is required
+        S = build_semigroup([(3, 0), (2, 1), (0, 3)])
+        for coeffs, name, detail in (("Q", "Q", "H~0 has rank 1 over Q"),
+                                     (2, "GF(2)", "H~0 has rank 1 over GF(2)"),
+                                     ("z-spherical", "Z-spherical", "H~0 = Z")):
+            rep = koszul_necessary_test(S, 3, coeffs=coeffs)
+            assert not rep.passed
+            assert rep.coefficients == name
+            assert rep.witness == ((6, 3), detail)
+            assert rep.describe() == f"fails at (6, 3): {detail}"
+            # the same violation text as the CM sweep of the closed interval
+            cm = is_cm_poset(lower_interval(S, (6, 3)), coeffs)
+            assert detail in [f.found for f in cm.failures]
 
     def test_lambda3_passes_rank3(self):
         rep = koszul_necessary_test(punctured_veronese_semigroup(3), 3)
