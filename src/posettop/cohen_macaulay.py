@@ -24,10 +24,8 @@ from .posets import (
     Poset,
     PosetError,
     PurityFailure,
-    SizeLimitError,
-    _refine_colors,
+    _induced_by_indices,
     augment,
-    find_isomorphism,
     iter_bits,
     rank_info,
 )
@@ -90,42 +88,15 @@ def cm_report_to_data(r: CMReport) -> dict:
     return out
 
 
-class _IntervalCache:
-    """Integral homology of interval posets, computed once per isomorphism
-    class.
-
-    Posets are bucketed by size, cover count and sorted refined colours;
-    a hit is confirmed by an exact isomorphism search.  A pair too large
-    for that search counts as a miss, so the cache never refuses a poset
-    it could compute directly.  ``runs`` counts the homology computations.
-    """
-
-    def __init__(self):
-        self.buckets: dict = {}
-        self.runs = 0
-
-    def homology(self, P: Poset) -> HomologySummary:
-        key = (len(P.labels), len(P.covers), tuple(sorted(_refine_colors(P))))
-        bucket = self.buckets.setdefault(key, [])
-        try:
-            for (Q, summary) in bucket:
-                if find_isomorphism(P, Q) is not None:
-                    return summary
-        except SizeLimitError:
-            pass  # every entry has P's size, so none can be compared
-        summary = integral_homology(order_complex(P))
-        self.runs += 1
-        bucket.append((P, summary))
-        return summary
-
-
-def _interval_items(P: Poset, use_cache: bool = True):
+def _interval_items(P: Poset):
     """Integral homology of every open interval of the bounded extension.
 
     Yields ``(lower, upper, rank_gap, summary)`` in lexicographic index
-    order.  Isomorphic intervals share one homology computation; the
-    cache is keyed by a canonical invariant and confirmed by an exact
-    isomorphism search.
+    order.  ``summary`` is ``None`` for rank gaps 1 and 2, and those
+    intervals are not built: in a pure poset the open interval of a cover
+    pair is empty, and that of a gap-2 pair is a nonempty antichain whose
+    only reduced homology, the free group H~0, sits in dimension
+    ``gap - 2``.  Both pass in every mode.
     """
     A = augment(P)
     info = rank_info(A)
@@ -134,35 +105,30 @@ def _interval_items(P: Poset, use_cache: bool = True):
     rank = info.rank
     above = A.above_masks()
     below = A.below_masks()
-    cache = _IntervalCache() if use_cache else None
     n = len(A.labels)
-    from .posets import _induced_by_indices
     for i in range(n):
         xi = A.labels[i]
         for j in iter_bits(above[i]):
             yj = A.labels[j]
             gap = rank[yj] - rank[xi]
-            between = above[i] & below[j]
-            if gap == 1:
-                yield (xi, yj, 1, None)  # empty interval, passes by convention
+            if gap <= 2:
+                yield (xi, yj, gap, None)
                 continue
-            interval = _induced_by_indices(A, list(iter_bits(between)))
-            if cache is not None:
-                summary = cache.homology(interval)
-            else:
-                summary = integral_homology(order_complex(interval))
-            yield (xi, yj, gap, summary)
+            interval = _induced_by_indices(A, list(iter_bits(above[i] & below[j])))
+            yield (xi, yj, gap, integral_homology(order_complex(interval)))
 
 
 def _summary_violations(summary: Optional[HomologySummary], gap: int, coeffs):
     """Nonzero homology dimensions outside ``gap - 2``, for the mode.
 
     ``coeffs`` is a parsed selector: ``"Z"`` is the spherical mode, which
-    also rejects torsion in dimension ``gap - 2``.
+    also rejects torsion in dimension ``gap - 2``.  ``summary`` is ``None``
+    for an interval of a pure poset with rank gap 1 or 2, which passes
+    without a homology computation.
     """
     d = gap - 2
-    if summary is None:  # empty interval (cover pair)
-        return () if d == -1 else ("H~-1 = Z (empty interval)",)
+    if summary is None:
+        return ()
     if summary.empty_complex:
         return () if d == -1 else ("H~-1 = Z (empty interval)",)
     if coeffs == "Z":
@@ -189,7 +155,9 @@ def is_cm_poset(P: Poset, coeffs: CoeffSpec = "Q", use_cache: bool = True) -> CM
     necessary condition when ``coeffs`` selects it.
 
     Failures are reported, not raised; an impure poset fails with a
-    witness pair of maximal chains.
+    witness pair of maximal chains.  ``use_cache`` is accepted for
+    compatibility and has no effect: every interval's homology is
+    computed directly.
 
     >>> from posettop.constructions import boolean
     >>> bool(is_cm_poset(boolean(3), "Q"))
@@ -203,7 +171,7 @@ def is_cm_poset(P: Poset, coeffs: CoeffSpec = "Q", use_cache: bool = True) -> CM
     if isinstance(info, PurityFailure):
         return CMReport(False, name, purity_witness=info)
     failures = []
-    for (x, y, gap, summary) in _interval_items(P, use_cache=use_cache):
+    for (x, y, gap, summary) in _interval_items(P):
         bad = _summary_violations(summary, gap, mode)
         if bad:
             failures.append(CMFailure(x, y, gap - 2, "; ".join(bad)))
@@ -211,11 +179,14 @@ def is_cm_poset(P: Poset, coeffs: CoeffSpec = "Q", use_cache: bool = True) -> CM
 
 
 def is_cm_complex(K, coeffs: CoeffSpec = "Q", use_cache: bool = True) -> CMReport:
-    """Cohen-Macaulayness of a complex via its face poset."""
+    """Cohen-Macaulayness of a complex via its face poset.
+
+    ``use_cache`` is accepted for compatibility and has no effect.
+    """
     from .complexes import face_poset
     if K.is_void:
         raise PosetError("the void complex is excluded from CM analysis")
-    return is_cm_poset(face_poset(K), coeffs, use_cache=use_cache)
+    return is_cm_poset(face_poset(K), coeffs)
 
 
 def is_acyclic_over(P: Poset, coeffs: CoeffSpec) -> bool:

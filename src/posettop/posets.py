@@ -545,11 +545,6 @@ def _joint_refine_colors(P: Poset, Q: Poset) -> tuple[list[int], list[int]]:
     return cp, cq
 
 
-def _refine_colors(P: Poset) -> list[int]:
-    """Isomorphism-invariant colors of a single poset (for hashing keys)."""
-    return _joint_refine_colors(P, P)[0]
-
-
 def find_isomorphism(P: Poset, Q: Poset, size_limit: int = 512) -> Optional[dict]:
     """Order isomorphism ``P -> Q`` as a label dict, or ``None``.
 

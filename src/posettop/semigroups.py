@@ -14,8 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .cohen_macaulay import _IntervalCache, _summary_violations, cm_coefficient_name
-from .homology import parse_coefficients
+from .cohen_macaulay import _summary_violations, cm_coefficient_name
+from .complexes import order_complex
+from .homology import integral_homology, parse_coefficients
 from .posets import (
     Poset,
     PurityFailure,
@@ -237,7 +238,8 @@ class KoszulReport:
     is pure with homology concentrated in dimension deg(x) - 2 over the
     chosen coefficients: the poset criterion for Koszulness, verified up
     to the bound.  This is a necessary condition only; no finite bound
-    certifies Koszulness.
+    certifies Koszulness.  ``homology_runs`` counts the intervals whose
+    homology was computed: those below elements of degree 3 and up.
     """
 
     passed: bool
@@ -261,17 +263,18 @@ def koszul_necessary_test(S: HomogeneousSemigroup, max_rank: int,
     """Test the Koszul interval criterion for all elements of degree at
     most ``max_rank`` (which must be at least 2).
 
-    Isomorphic intervals share one homology computation, and the verdict
-    on each interval is the Cohen-Macaulay sweep's, with rank gap ``m``
-    for an element of degree ``m``.
+    Each interval is checked for emptiness and purity, then judged by the
+    Cohen-Macaulay sweep's rule with rank gap ``m`` for an element of
+    degree ``m``.  A pure degree-2 interval is an antichain and passes
+    without a homology computation; every other interval's homology is
+    computed directly.
     """
     if max_rank < 2:
         raise SemigroupError("need max_rank >= 2")
     mode = parse_coefficients(coeffs)
     name = cm_coefficient_name(mode)
     layers = S.enumerate_up_to(max_rank)
-    checked = 0
-    cache = _IntervalCache()
+    checked = runs = 0
     for m in range(2, max_rank + 1):
         for lam in layers[m]:
             checked += 1
@@ -279,18 +282,22 @@ def koszul_necessary_test(S: HomogeneousSemigroup, max_rank: int,
             if len(P) == 0:
                 return KoszulReport(False, max_rank, name,
                                     witness=(lam, "empty open interval"),
-                                    elements_checked=checked, homology_runs=cache.runs)
+                                    elements_checked=checked, homology_runs=runs)
             info = rank_info(P)
             if isinstance(info, PurityFailure):
                 return KoszulReport(False, max_rank, name,
                                     witness=(lam, "impure interval: " + info.message),
-                                    elements_checked=checked, homology_runs=cache.runs)
-            bad = _summary_violations(cache.homology(P), m, mode)
+                                    elements_checked=checked, homology_runs=runs)
+            summary = None
+            if m > 2:
+                summary = integral_homology(order_complex(P))
+                runs += 1
+            bad = _summary_violations(summary, m, mode)
             if bad:
                 return KoszulReport(False, max_rank, name, witness=(lam, "; ".join(bad)),
-                                    elements_checked=checked, homology_runs=cache.runs)
+                                    elements_checked=checked, homology_runs=runs)
     return KoszulReport(True, max_rank, name,
-                        elements_checked=checked, homology_runs=cache.runs)
+                        elements_checked=checked, homology_runs=runs)
 
 
 # -- gradings and product semigroups ---------------------------------------

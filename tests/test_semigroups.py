@@ -174,10 +174,20 @@ class TestKoszulTest:
             assert detail in [f.found for f in cm.failures]
 
     def test_lambda3_passes_rank3(self):
-        rep = koszul_necessary_test(punctured_veronese_semigroup(3), 3)
+        S = punctured_veronese_semigroup(3)
+        rep = koszul_necessary_test(S, 3)
         assert rep.passed, rep.describe()
         assert rep.elements_checked > 0
-        assert rep.homology_runs <= rep.elements_checked  # deduplication helps
+        # degree-2 intervals are antichains and need no homology
+        assert rep.homology_runs == len(S.enumerate_up_to(3)[3])
+
+    def test_rees_of_lambda3_passes_rank3(self):
+        # Rees products of Koszul semigroup rings are Koszul; its intervals
+        # include isomorphic pairs that find_isomorphism takes minutes on
+        S = rees_semigroup(punctured_veronese_semigroup(3), natural_semigroup(2))
+        rep = koszul_necessary_test(S, 3)
+        assert rep.passed, rep.describe()
+        assert rep.elements_checked == 718
 
     def test_lambda2_passes(self):
         rep = koszul_necessary_test(punctured_veronese_semigroup(2), 4)
