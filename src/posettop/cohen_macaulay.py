@@ -139,15 +139,9 @@ def _summary_violations(summary: Optional[HomologySummary], gap: int, coeffs):
             elif summary.torsion(i):
                 bad.append(f"H~{i} = {summary.group_str(i)} (torsion)")
         return tuple(bad)
-    bad = []
-    top = len(summary.groups)
-    for i in range(top + 1):
-        if i == d:
-            continue
-        b = summary.field_betti(i, coeffs)
-        if b:
-            bad.append(f"H~{i} has rank {b} over {field_name(coeffs)}")
-    return tuple(bad)
+    s = summary.over_field(coeffs)
+    return tuple(f"H~{i} has rank {s.betti(i)} over {s.coefficients}"
+                 for i in s.nonzero_dims() if i != d)
 
 
 def is_cm_poset(P: Poset, coeffs: CoeffSpec = "Q", use_cache: bool = True) -> CMReport:
@@ -193,12 +187,9 @@ def is_acyclic_over(P: Poset, coeffs: CoeffSpec) -> bool:
     """All reduced homology of the order complex vanishes over the field."""
     mode = parse_coefficients(coeffs)
     summary = integral_homology(order_complex(P))
-    if summary.empty_complex:
-        return False
-    if mode == "Z":
-        return summary.is_trivial()
-    return all(summary.field_betti(i, mode) == 0
-               for i in range(len(summary.groups) + 1))
+    if mode != "Z":
+        summary = summary.over_field(mode)
+    return summary.is_trivial()
 
 
 # -- preservation suite ----------------------------------------------------

@@ -3,14 +3,14 @@
 The chain complex is always augmented (the empty face is a cell in
 dimension -1), so every Betti number reported here is reduced.
 
-Two independent engines are provided.  ``betti`` computes field Betti
-numbers by rank elimination on the untouched boundary matrices,
-fraction-free over the rationals and modular over GF(p).  The integral
-engine first shrinks the complex by repeatedly cancelling a cell pair
-whose incidence is the unique one of a cell (a homology-preserving
-deletion that never changes coefficients) and then runs exact Smith
-normal form on what is left.  The two engines check each other in the
-test suite; neither trusts the other.
+One engine computes every answer.  It first shrinks the complex by
+repeatedly cancelling a cell pair whose incidence is the unique one of a
+cell (a homology-preserving deletion that never changes coefficients)
+and then runs exact Smith normal form on what is left.  The integral
+groups fix the homology over every field by the universal coefficient
+theorem, so ``betti`` derives field Betti numbers from them
+(``HomologySummary.over_field``).  The dense field ranks of ``intmatrix``
+stay the independent reference the test suite checks this engine against.
 """
 
 from __future__ import annotations
@@ -21,14 +21,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence, Union
 
 from .complexes import ComplexError, SimplicialComplex, poset_chains_by_size
-from .intmatrix import (
-    IntegerMatrix,
-    _snf_divisors,
-    is_prime,
-    rank_mod_p,
-    rank_over_rationals,
-    smith_normal_form,
-)
+from .intmatrix import IntegerMatrix, _snf_divisors, is_prime
 
 FieldSpec = Union[str, int]  # "Z", "Q" or a prime p
 
@@ -152,8 +145,13 @@ class HomologySummary:
         return b + tp + tp_below
 
     def over_field(self, f: FieldSpec) -> "HomologySummary":
-        """Field-coefficient summary derived from an integral one."""
-        groups = tuple((self.field_betti(i, f), ()) for i in range(len(self.groups)))
+        """Field-coefficient summary derived from an integral one.
+
+        The p-torsion of the top listed dimension adds a class one
+        dimension above it, so the range runs one past ``groups``.
+        """
+        groups = tuple((self.field_betti(i, f), ())
+                       for i in range(len(self.groups) + 1))
         while groups and groups[-1] == (0, ()):
             groups = groups[:-1]
         return HomologySummary(field_name(f), groups, self.empty_complex)
@@ -213,36 +211,6 @@ def boundary_matrices(K: SimplicialComplex) -> list[IntegerMatrix]:
 def check_chain_complex(mats: Sequence[IntegerMatrix]) -> bool:
     """True iff consecutive boundary maps compose to zero."""
     return all((a @ b).is_zero() for a, b in zip(mats, mats[1:]))
-
-
-# -- field Betti numbers (elimination path) ------------------------------
-
-
-def betti(K: SimplicialComplex, f: FieldSpec = "Q") -> HomologySummary:
-    """Reduced Betti numbers of ``K`` over a field, by rank elimination.
-
-    >>> from posettop.complexes import simplex_boundary
-    >>> betti(simplex_boundary(3), "Q").nonzero_dims()
-    (1,)
-    """
-    f = _field(f)
-    name = field_name(f)
-    if K.is_void:
-        raise ComplexError("void complex has no homology")
-    if K.is_empty:
-        return HomologySummary(name, (), empty_complex=True)
-    mats = boundary_matrices(K)
-    if f == "Q":
-        ranks = [rank_over_rationals(M) for M in mats]
-    else:
-        ranks = [rank_mod_p(M, f) for M in mats]
-    ranks.append(0)
-    groups = {}
-    for i in range(len(mats)):
-        dim_ci = mats[i].ncols
-        b = dim_ci - ranks[i] - ranks[i + 1]
-        groups[i] = (b, ())
-    return make_summary(name, groups)
 
 
 # -- integral homology (reduction + Smith normal form) --------------------
@@ -445,11 +413,8 @@ def _residual_homology(cx: _CellComplex, alive) -> HomologySummary:
     return make_summary("Z", groups, empty_complex=empty and alive_counts[0] == 1)
 
 
-def integral_homology(K: SimplicialComplex, reduce: bool = True) -> HomologySummary:
+def integral_homology(K: SimplicialComplex) -> HomologySummary:
     """Integral reduced homology: Betti numbers plus torsion coefficients.
-
-    With ``reduce=False`` the Smith normal forms of the full boundary
-    matrices are computed directly (slow, used as an oracle in tests).
 
     >>> from posettop.complexes import simplex_boundary
     >>> str(integral_homology(simplex_boundary(4)))
@@ -459,23 +424,21 @@ def integral_homology(K: SimplicialComplex, reduce: bool = True) -> HomologySumm
         raise ComplexError("void complex has no homology")
     if K.is_empty:
         return HomologySummary("Z", (), empty_complex=True)
-    if not reduce:
-        return _integral_homology_direct(K)
     cx = _cell_complex(K)
     alive = _cascade(cx)
     return _residual_homology(cx, alive)
 
 
-def _integral_homology_direct(K: SimplicialComplex) -> HomologySummary:
-    mats = boundary_matrices(K)
-    snfs = [smith_normal_form(M) for M in mats]
-    ranks = [s.rank for s in snfs] + [0]
-    groups = {}
-    for i in range(len(mats)):
-        b = mats[i].ncols - ranks[i] - ranks[i + 1]
-        t = snfs[i + 1].nontrivial() if i + 1 < len(snfs) else ()
-        groups[i] = (b, t)
-    return make_summary("Z", groups)
+def betti(K: SimplicialComplex, f: FieldSpec = "Q") -> HomologySummary:
+    """Reduced Betti numbers of ``K`` over a field, from the integral
+    homology by universal coefficients.
+
+    >>> from posettop.complexes import simplex_boundary
+    >>> betti(simplex_boundary(3), "Q").nonzero_dims()
+    (1,)
+    """
+    f = _field(f)
+    return integral_homology(K).over_field(f)
 
 
 def homology(K: SimplicialComplex, coefficients: FieldSpec | None = None) -> HomologySummary:

@@ -6,7 +6,9 @@ The Smith normal form routine prefers small pivots (unit pivots with
 least fill first, then smallest nonzero magnitude) to limit coefficient
 growth.  Field ranks are computed by genuinely separate code paths,
 fraction-free elimination for the rationals and modular elimination for
-prime fields, so the Smith normal form has an honest oracle.
+prime fields.  They are the reference the Smith normal form and the
+homology engine are checked against and are on no homology path: the
+engine derives every field answer from the integral groups.
 """
 
 from __future__ import annotations

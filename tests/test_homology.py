@@ -24,6 +24,7 @@ from posettop.homology import (
 from posettop.intmatrix import IntegerMatrix
 from posettop.posets import build_poset, mobius, open_interval
 
+from homology_oracle import elimination_betti, snf_homology
 from test_complexes import random_complex
 from test_posets import boolean_lattice, random_pure_bounded_poset
 
@@ -123,25 +124,37 @@ class TestIntegralHomology:
     def test_direct_path_agrees(self):
         for K in (simplex_boundary(3), simplex_boundary(4),
                   projective_plane(), hexagon()):
-            assert integral_homology(K, reduce=True) == integral_homology(K, reduce=False)
+            assert integral_homology(K) == snf_homology(K)
 
     def test_direct_path_agrees_random(self):
         rng = random.Random(77)
         for _ in range(60):
             K = random_complex(rng)
-            assert integral_homology(K, reduce=True) == integral_homology(K, reduce=False)
+            assert integral_homology(K) == snf_homology(K)
 
     def test_full_simplex_contractible(self):
         P = build_poset("abcd", [("a", "b"), ("b", "c"), ("c", "d")])
         assert integral_homology(order_complex(P)).is_trivial()
 
     def test_universal_coefficients(self):
+        from posettop.constructions import rees_deranged, subword
         rng = random.Random(79)
-        for _ in range(50):
-            K = random_complex(rng)
+        corpus = [random_complex(rng) for _ in range(50)]
+        corpus += [order_complex(subword(3)), order_complex(rees_deranged(4))]
+        for K in corpus:
             z = integral_homology(K)
             for f in ("Q", 2, 3):
-                assert z.over_field(f) == betti(K, f), (K.facets, f)
+                assert z.over_field(f) == elimination_betti(K, f), (K.facets, f)
+
+    def test_over_field_keeps_torsion_above_the_top_group(self):
+        # Tor(Z/2, GF(2)) puts a class in dimension 2 of the projective
+        # plane, one above its top integral group
+        z = integral_homology(projective_plane())
+        assert len(z.groups) == 2
+        over2 = z.over_field(2)
+        assert over2.nonzero_dims() == (1, 2)
+        assert str(over2) == "H~1 = GF(2), H~2 = GF(2) (GF(2))"
+        assert z.over_field(3).is_trivial()
 
     def test_disjoint_edges(self):
         K = simplicial_complex(range(4), [[0, 1], [2, 3]])
@@ -185,7 +198,8 @@ class TestSummaries:
         assert homology(K) == integral_homology(K)
         assert homology(K, "Z") == integral_homology(K)
         assert homology(K, "z-spherical") == integral_homology(K)
-        assert homology(K, 2) == betti(K, 2)
+        assert homology(K, 2) == elimination_betti(K, 2)
+        assert homology(K, "Q") == elimination_betti(K, "Q")
 
 
 class TestHallCrossCheck:
@@ -202,13 +216,18 @@ class TestHallCrossCheck:
 
 class TestDirectPathOnRealPosets:
     def test_subword_and_deranged_rees_medium(self):
-        # the reduced and direct engines agree on real mid-size complexes
+        # the engine and the full-matrix SNF agree on real mid-size complexes
         from posettop.constructions import rees_deranged, subword, fiber_ideal
         for P in (subword(4), rees_deranged(4),
                   fiber_ideal(4, (1, 2, 3, 4), 2).poset):
             K = order_complex(P)
-            assert integral_homology(K, reduce=True) == \
-                integral_homology(K, reduce=False)
+            assert integral_homology(K) == snf_homology(K)
+
+    def test_derangement_ranks_over_q(self):
+        # the free rank is the derangement number in the top dimension
+        from posettop.constructions import rees_deranged, subword
+        assert str(betti(order_complex(rees_deranged(5)), "Q")) == "H~4 = Q^44 (Q)"
+        assert str(betti(order_complex(subword(4)), "Q")) == "H~3 = Q^9 (Q)"
 
     def test_barycentric_projective_plane(self):
         K = projective_plane()
@@ -216,4 +235,4 @@ class TestDirectPathOnRealPosets:
         B = barycentric_subdivision(K)
         s = integral_homology(B)
         assert s.torsion(1) == (2,)
-        assert s == integral_homology(B, reduce=False)
+        assert s == snf_homology(B)
