@@ -11,6 +11,16 @@ homotopy type, so the integral mode here checks the necessary
 condition: torsion-free homology concentrated in top dimension for
 every interval.  Reports label this mode "Z-spherical" to keep the
 distinction honest.
+
+Most intervals are decided without a homology computation.  The element
+matching taken from the top down of a linear extension leaves critical
+chains whose count per dimension fixes the integral homology whenever no
+two of them sit in adjacent dimensions (``homology._critical_chains``):
+the homology is then free, one generator per critical chain.  On a CM
+interval they all sit in dimension ``gap - 2``.  Only an interval whose
+critical chains touch adjacent dimensions goes to the homology engine,
+``integral_homology`` of its order complex, which fixes torsion and the
+failure text.
 """
 
 from __future__ import annotations
@@ -19,7 +29,14 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 from .complexes import order_complex
-from .homology import HomologySummary, field_name, integral_homology, parse_coefficients
+from .homology import (
+    HomologySummary,
+    _critical_chains,
+    _morse_summary,
+    field_name,
+    integral_homology,
+    parse_coefficients,
+)
 from .posets import (
     Poset,
     PosetError,
@@ -97,25 +114,55 @@ def _interval_items(P: Poset):
     pair is empty, and that of a gap-2 pair is a nonempty antichain whose
     only reduced homology, the free group H~0, sits in dimension
     ``gap - 2``.  Both pass in every mode.
+
+    For the other intervals one top-down pass per upper element finds the
+    critical chains of every interval below it (``_critical_chains``); only
+    their counts per dimension are kept.  Where no two critical chains sit
+    in adjacent dimensions they are the homology; otherwise the interval
+    is built and its order complex goes to ``integral_homology``.
     """
     A = augment(P)
     info = rank_info(A)
     if isinstance(info, PurityFailure):
         raise PosetError("interval analysis needs a pure poset")
-    rank = info.rank
+    rank = [info.rank[x] for x in A.labels]
     above = A.above_masks()
     below = A.below_masks()
     n = len(A.labels)
+    certified = {}  # (i, j) -> summary, or None where the engine decides
+    for j in range(n):
+        if rank[j] < 3:
+            continue
+        for i, chains in _critical_chains(A, j).items():
+            if rank[j] - rank[i] > 2:
+                certified[i, j] = _morse_summary(chains)
     for i in range(n):
         xi = A.labels[i]
         for j in iter_bits(above[i]):
             yj = A.labels[j]
-            gap = rank[yj] - rank[xi]
+            gap = rank[j] - rank[i]
             if gap <= 2:
                 yield (xi, yj, gap, None)
                 continue
-            interval = _induced_by_indices(A, list(iter_bits(above[i] & below[j])))
-            yield (xi, yj, gap, integral_homology(order_complex(interval)))
+            summary = certified[i, j]
+            if summary is None:
+                interval = _induced_by_indices(A, list(iter_bits(above[i] & below[j])))
+                summary = integral_homology(order_complex(interval))
+            yield (xi, yj, gap, summary)
+
+
+def _order_complex_homology(P: Poset) -> HomologySummary:
+    """Integral reduced homology of the order complex of ``P``.
+
+    The critical chains of the interval (0^, 1^) of ``augment(P)`` decide
+    it unless two of them sit in adjacent dimensions; then the homology
+    engine does.
+    """
+    A = augment(P)
+    summary = _morse_summary(_critical_chains(A, len(A) - 1)[0])
+    if summary is None:
+        summary = integral_homology(order_complex(P))
+    return summary
 
 
 def _summary_violations(summary: Optional[HomologySummary], gap: int, coeffs):
@@ -184,9 +231,15 @@ def is_cm_complex(K, coeffs: CoeffSpec = "Q", use_cache: bool = True) -> CMRepor
 
 
 def is_acyclic_over(P: Poset, coeffs: CoeffSpec) -> bool:
-    """All reduced homology of the order complex vanishes over the field."""
+    """All reduced homology of the order complex vanishes over the field.
+
+    No critical chain of the interval (0^, 1^) of ``augment(P)`` means
+    acyclic; critical chains in no two adjacent dimensions mean free
+    homology, so not acyclic over any field.  Otherwise the homology
+    engine decides.
+    """
     mode = parse_coefficients(coeffs)
-    summary = integral_homology(order_complex(P))
+    summary = _order_complex_homology(P)
     if mode != "Z":
         summary = summary.over_field(mode)
     return summary.is_trivial()

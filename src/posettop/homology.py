@@ -11,17 +11,23 @@ groups fix the homology over every field by the universal coefficient
 theorem, so ``betti`` derives field Betti numbers from them
 (``HomologySummary.over_field``).  The dense field ranks of ``intmatrix``
 stay the independent reference the test suite checks this engine against.
+
+The interval sweeps mostly skip the engine: ``_critical_chains`` gives
+the critical chains of poset intervals under an acyclic element matching,
+and ``_morse_summary`` reads the homology off them when no two sit in
+adjacent dimensions.
 """
 
 from __future__ import annotations
 
 from array import array
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
-from typing import Mapping, Sequence, Union
+from typing import Mapping, Optional, Sequence, Union
 
 from .complexes import ComplexError, SimplicialComplex, poset_chains_by_size
 from .intmatrix import IntegerMatrix, _snf_divisors, is_prime
+from .posets import Poset, iter_bits
 
 FieldSpec = Union[str, int]  # "Z", "Q" or a prime p
 
@@ -178,6 +184,64 @@ def make_summary(coefficients: str, groups: Mapping[int, tuple[int, Sequence[int
     while data and data[-1] == (0, ()):
         data.pop()
     return HomologySummary(coefficients, tuple(data), empty_complex)
+
+
+# -- critical chains of poset intervals ------------------------------------
+
+
+def _critical_chains(P: Poset, y: int) -> dict[int, set[int]]:
+    """Critical chains of every open interval ``(z, y)`` of ``P``, by ``z``.
+
+    The matching on the chains of ``(z, y)``, the empty chain included, is
+    the element matching in decreasing order of ``P.topo_order()``: each
+    element ``w`` in turn pairs a chain with the chain plus ``w`` when both
+    are still unmatched.  Such a sequence of element matchings is acyclic
+    (Jonsson, *Simplicial Complexes of Graphs*, LNM 1928, ch. 4), so the
+    critical chains are the cells of a complex with the same reduced
+    homology (Forman, discrete Morse theory).  A chain is a bitmask of
+    element indices; ``0`` is the empty chain, in dimension -1.
+
+    The chains of ``(z, y)`` with least element ``w`` are ``w`` plus a chain
+    of ``(w, y)``.  Of the elements processed before ``w``, only those of
+    ``(w, y)`` match such chains, and they match them among themselves as
+    they match the chains of ``(w, y)``: until ``w``'s turn, ``w`` plus the
+    critical chains ``C`` of ``(w, y)`` stay unmatched.  So the unmatched
+    chains ``W`` of ``(z, y)`` follow::
+
+        W = {()}; for w in (z, y), descending: M = W & C; W = (W - M) | w.(C - M)
+
+    One pass over the ``z < y`` from the top down computes each ``C``
+    before it is needed.  No chain list of an interval is ever built.
+    """
+    pos = {v: k for k, v in enumerate(P.topo_order())}
+    above = P.above_masks()
+    below_y = P.below_masks()[y]
+    crit: dict[int, set[int]] = {}
+    for z in sorted(iter_bits(below_y), key=pos.__getitem__, reverse=True):
+        W = {0}
+        for w in sorted(iter_bits(above[z] & below_y), key=pos.__getitem__, reverse=True):
+            C = crit[w]
+            M = W & C
+            W -= M
+            bit = 1 << w
+            W.update(u | bit for u in C - M)
+        crit[z] = W
+    return crit
+
+
+def _morse_summary(chains) -> Optional[HomologySummary]:
+    """Integral homology from the critical chains of an acyclic matching,
+    or ``None`` when two of them sit in adjacent dimensions.
+
+    Otherwise every boundary map of the Morse complex is zero, so the
+    homology is free with one generator per critical chain.
+    """
+    counts = Counter(c.bit_count() - 1 for c in chains)
+    if any(d + 1 in counts for d in counts):
+        return None
+    if -1 in counts:
+        return HomologySummary("Z", (), empty_complex=True)
+    return make_summary("Z", {d: (c, ()) for d, c in counts.items()})
 
 
 # -- boundary matrices ---------------------------------------------------

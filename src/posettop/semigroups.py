@@ -14,9 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .cohen_macaulay import _summary_violations, cm_coefficient_name
-from .complexes import order_complex
-from .homology import integral_homology, parse_coefficients
+from .cohen_macaulay import _order_complex_homology, _summary_violations, cm_coefficient_name
+from .homology import parse_coefficients
 from .posets import (
     Poset,
     PurityFailure,
@@ -239,7 +238,9 @@ class KoszulReport:
     chosen coefficients: the poset criterion for Koszulness, verified up
     to the bound.  This is a necessary condition only; no finite bound
     certifies Koszulness.  ``homology_runs`` counts the intervals whose
-    homology was computed: those below elements of degree 3 and up.
+    homology was determined: those below elements of degree 3 and up,
+    whether their critical chains certified it or the homology engine
+    computed it.
     """
 
     passed: bool
@@ -266,8 +267,9 @@ def koszul_necessary_test(S: HomogeneousSemigroup, max_rank: int,
     Each interval is checked for emptiness and purity, then judged by the
     Cohen-Macaulay sweep's rule with rank gap ``m`` for an element of
     degree ``m``.  A pure degree-2 interval is an antichain and passes
-    without a homology computation; every other interval's homology is
-    computed directly.
+    without a homology computation; every other interval's homology comes
+    from its critical chains, or from the homology engine where two of
+    them sit in adjacent dimensions.
     """
     if max_rank < 2:
         raise SemigroupError("need max_rank >= 2")
@@ -290,7 +292,7 @@ def koszul_necessary_test(S: HomogeneousSemigroup, max_rank: int,
                                     elements_checked=checked, homology_runs=runs)
             summary = None
             if m > 2:
-                summary = integral_homology(order_complex(P))
+                summary = _order_complex_homology(P)
                 runs += 1
             bad = _summary_violations(summary, m, mode)
             if bad:

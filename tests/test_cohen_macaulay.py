@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from posettop import cohen_macaulay
 from posettop.cohen_macaulay import (
     CMFailure,
     CMReport,
@@ -26,6 +27,7 @@ from posettop.constructions import (
     rank_select,
     rees,
     rees_deranged,
+    subword,
     weighted_segre,
 )
 from posettop.homology import integral_homology, parse_coefficients
@@ -59,6 +61,20 @@ def reference_cm_failures(P, mode):
     return tuple(failures)
 
 
+def boolean_top_first(n):
+    """``boolean(n)`` with its labels listed top-first: its index order
+    is not a linear extension."""
+    B = boolean(n)
+    return build_poset(B.labels[::-1], [(B.labels[i], B.labels[j]) for (i, j) in B.covers])
+
+
+def disjoint_chains():
+    """The non-strict weighting counterexample: two disjoint 1-chains."""
+    return weighted_segre(build_poset(["a", "b"], []),
+                          build_poset(["x", "y"], [("x", "y")]),
+                          {"x": 0, "y": 0}).poset
+
+
 def wide_poset(n):
     """``n`` minimal elements, each below both of two maximal ones."""
     labels = [f"m{i}" for i in range(n)] + ["a", "b"]
@@ -73,10 +89,7 @@ class TestIsCMPoset:
         assert not r.failures
 
     def test_disjoint_chains_not_cm(self):
-        res = weighted_segre(build_poset(["a", "b"], []),
-                             build_poset(["x", "y"], [("x", "y")]),
-                             {"x": 0, "y": 0})
-        r = is_cm_poset(res.poset, "Q")
+        r = is_cm_poset(disjoint_chains(), "Q")
         assert not r.verdict
         # disconnected where a 1-dimensional interval is required
         assert any(f.expected_dim == 1 for f in r.failures)
@@ -111,10 +124,9 @@ class TestIsCMPoset:
         rng = random.Random(19)
         posets = [random_pure_bounded_poset(rng, max_mid=5) for _ in range(12)]
         # the random posets are all CM; these two fail in some mode
-        posets.append(weighted_segre(build_poset(["a", "b"], []),
-                                     build_poset(["x", "y"], [("x", "y")]),
-                                     {"x": 0, "y": 0}).poset)
+        posets.append(disjoint_chains())
         posets.append(face_poset(projective_plane()))
+        posets.append(boolean_top_first(4))
         for P in posets:
             for f in ("Q", 2, "z-spherical"):
                 r = is_cm_poset(P, f)
@@ -122,6 +134,32 @@ class TestIsCMPoset:
                 assert r.verdict == (not failures)
                 # augment's fresh bounds compare by identity, so compare text
                 assert [str(x) for x in r.failures] == [str(x) for x in failures]
+
+    def test_engine_only_where_critical_chains_touch(self, monkeypatch):
+        computed = []
+
+        def spy(K):
+            summary = integral_homology(K)
+            computed.append(str(summary))
+            return summary
+        monkeypatch.setattr(cohen_macaulay, "integral_homology", spy)
+        # RP^2's critical chains sit in dimensions 1 and 2: the engine
+        # finds the torsion
+        r = is_cm_poset(face_poset(projective_plane()), "z-spherical")
+        assert "H~1 = Z/2 (Z)" in computed
+        assert [f.found for f in r.failures if f.expected_dim == 2] == ["H~1 = Z/2"]
+        # the counterexample's lone critical chain sits in dimension 0,
+        # one below the required 1: decided without the engine
+        computed.clear()
+        r = is_cm_poset(disjoint_chains(), "Q")
+        assert not r.verdict
+        assert computed == []
+        assert is_cm_poset(boolean(4), "z-spherical").verdict
+        assert computed == []
+
+    def test_large_verdicts(self):
+        assert is_cm_poset(boolean(7), "Q").verdict
+        assert is_cm_poset(subword(5), "Z").verdict
 
     def test_report_serialization(self):
         r = is_cm_poset(boolean(2), "Q")
@@ -186,6 +224,17 @@ class TestAcyclicity:
 
     def test_circle_not_acyclic(self):
         assert not is_acyclic_over(rank_select(boolean(3), {1, 2}), "Q")
+
+    def test_projective_plane_depends_on_field(self):
+        # critical chains in adjacent dimensions: the engine decides
+        P = face_poset(projective_plane())
+        assert is_acyclic_over(P, "Q")
+        assert is_acyclic_over(P, 3)
+        assert not is_acyclic_over(P, 2)
+        assert not is_acyclic_over(P, "Z")
+
+    def test_empty_poset_not_acyclic(self):
+        assert not is_acyclic_over(build_poset([], []), "Q")
 
 
 class TestPreservationSuite:

@@ -12,6 +12,8 @@ from posettop.complexes import (
 )
 from posettop.homology import (
     HomologySummary,
+    _critical_chains,
+    _morse_summary,
     betti,
     boundary_matrices,
     check_chain_complex,
@@ -22,7 +24,7 @@ from posettop.homology import (
     summary_to_data,
 )
 from posettop.intmatrix import IntegerMatrix
-from posettop.posets import build_poset, mobius, open_interval
+from posettop.posets import build_poset, iter_bits, mobius, open_interval
 
 from homology_oracle import elimination_betti, snf_homology
 from test_complexes import random_complex
@@ -212,6 +214,67 @@ class TestHallCrossCheck:
                     if P.leq(x, y) and x != y:
                         K = order_complex(open_interval(P, x, y))
                         assert mobius(P, x, y) == reduced_euler(K)
+
+
+def shuffled(P, rng):
+    """``P`` rebuilt with its labels in random order, so that index order
+    is usually not a linear extension."""
+    labels = list(P.labels)
+    rng.shuffle(labels)
+    return build_poset(labels, [(P.labels[i], P.labels[j]) for (i, j) in P.covers])
+
+
+class TestCriticalChains:
+    def test_alternating_count_is_mobius(self):
+        # the matching pairs off every chain it leaves uncritical, so the
+        # critical chains have the reduced Euler characteristic: mu by Hall
+        rng = random.Random(101)
+        for _ in range(30):
+            P = shuffled(random_pure_bounded_poset(rng), rng)
+            for y in range(len(P)):
+                for z, chains in _critical_chains(P, y).items():
+                    euler = sum((-1) ** (c.bit_count() - 1) for c in chains)
+                    assert euler == mobius(P, P.labels[z], P.labels[y])
+
+    def test_chains_lie_in_the_interval(self):
+        rng = random.Random(103)
+        for _ in range(20):
+            P = shuffled(random_pure_bounded_poset(rng), rng)
+            above, below = P.above_masks(), P.below_masks()
+            for y in range(len(P)):
+                for z, chains in _critical_chains(P, y).items():
+                    inside = above[z] & below[y]
+                    for c in chains:
+                        assert c & ~inside == 0
+                        elems = list(iter_bits(c))
+                        assert all(above[a] >> b & 1 or above[b] >> a & 1
+                                   for a in elems for b in elems if a != b)
+
+    def test_certified_summary_matches_engine(self):
+        from posettop.complexes import face_poset
+        from posettop.constructions import boolean, rees_deranged
+        rng = random.Random(107)
+        posets = [shuffled(random_pure_bounded_poset(rng), rng) for _ in range(20)]
+        posets += [face_poset(projective_plane()), boolean(4), rees_deranged(3)]
+        certified = 0
+        for P in posets:
+            for y in range(len(P)):
+                for z, chains in _critical_chains(P, y).items():
+                    summary = _morse_summary(chains)
+                    if summary is None:
+                        continue
+                    certified += 1
+                    interval = open_interval(P, P.labels[z], P.labels[y])
+                    assert summary == integral_homology(order_complex(interval))
+        assert certified > 0
+
+    def test_adjacent_dimensions_are_not_certified(self):
+        # two critical chains in dimensions 1 and 2 may cancel or leave torsion
+        assert _morse_summary([0b11, 0b111]) is None
+        assert _morse_summary([0b1, 0]) is None
+        assert str(_morse_summary([0b1, 0b111, 0b10101])) == "H~0 = Z, H~2 = Z^2 (Z)"
+        assert _morse_summary([0]).empty_complex
+        assert _morse_summary([]).is_trivial()
 
 
 class TestDirectPathOnRealPosets:
