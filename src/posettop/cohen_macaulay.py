@@ -20,7 +20,8 @@ the homology is then free, one generator per critical chain.  On a CM
 interval they all sit in dimension ``gap - 2``.  Only an interval whose
 critical chains touch adjacent dimensions goes to the homology engine,
 ``integral_homology`` of its order complex, which fixes torsion and the
-failure text.
+failure text.  ``_interval_homology`` is that step; the Koszul test of
+``semigroups`` and ``is_acyclic_over`` use it too.
 """
 
 from __future__ import annotations
@@ -116,10 +117,8 @@ def _interval_items(P: Poset):
     ``gap - 2``.  Both pass in every mode.
 
     For the other intervals one top-down pass per upper element finds the
-    critical chains of every interval below it (``_critical_chains``); only
-    their counts per dimension are kept.  Where no two critical chains sit
-    in adjacent dimensions they are the homology; otherwise the interval
-    is built and its order complex goes to ``integral_homology``.
+    critical chains of every interval below it (``_critical_chains``), and
+    ``_interval_homology`` turns them into the interval's homology.
     """
     A = augment(P)
     info = rank_info(A)
@@ -127,41 +126,33 @@ def _interval_items(P: Poset):
         raise PosetError("interval analysis needs a pure poset")
     rank = [info.rank[x] for x in A.labels]
     above = A.above_masks()
-    below = A.below_masks()
     n = len(A.labels)
-    certified = {}  # (i, j) -> summary, or None where the engine decides
+    summaries = {}
     for j in range(n):
         if rank[j] < 3:
             continue
         for i, chains in _critical_chains(A, j).items():
             if rank[j] - rank[i] > 2:
-                certified[i, j] = _morse_summary(chains)
+                summaries[i, j] = _interval_homology(A, i, j, chains)
     for i in range(n):
-        xi = A.labels[i]
         for j in iter_bits(above[i]):
-            yj = A.labels[j]
             gap = rank[j] - rank[i]
-            if gap <= 2:
-                yield (xi, yj, gap, None)
-                continue
-            summary = certified[i, j]
-            if summary is None:
-                interval = _induced_by_indices(A, list(iter_bits(above[i] & below[j])))
-                summary = integral_homology(order_complex(interval))
-            yield (xi, yj, gap, summary)
+            yield (A.labels[i], A.labels[j], gap, summaries.get((i, j)))
 
 
-def _order_complex_homology(P: Poset) -> HomologySummary:
-    """Integral reduced homology of the order complex of ``P``.
+def _interval_homology(A: Poset, i: int, j: int, chains) -> HomologySummary:
+    """Integral reduced homology of the open interval between the indices
+    ``i < j`` of ``A``, given its critical chains ``_critical_chains(A, j)[i]``.
 
-    The critical chains of the interval (0^, 1^) of ``augment(P)`` decide
-    it unless two of them sit in adjacent dimensions; then the homology
-    engine does.
+    The critical chains decide it unless two of them sit in adjacent
+    dimensions; then the interval is built and its order complex goes to
+    the homology engine.
     """
-    A = augment(P)
-    summary = _morse_summary(_critical_chains(A, len(A) - 1)[0])
+    summary = _morse_summary(chains)
     if summary is None:
-        summary = integral_homology(order_complex(P))
+        between = A.above_masks()[i] & A.below_masks()[j]
+        interval = _induced_by_indices(A, list(iter_bits(between)))
+        summary = integral_homology(order_complex(interval))
     return summary
 
 
@@ -239,7 +230,9 @@ def is_acyclic_over(P: Poset, coeffs: CoeffSpec) -> bool:
     engine decides.
     """
     mode = parse_coefficients(coeffs)
-    summary = _order_complex_homology(P)
+    A = augment(P)
+    top = len(A) - 1
+    summary = _interval_homology(A, 0, top, _critical_chains(A, top)[0])
     if mode != "Z":
         summary = summary.over_field(mode)
     return summary.is_trivial()

@@ -7,6 +7,14 @@ integer weight vector ``w`` and a positive scale ``s`` such that
 ``w . x / s``, an exact integer.  All generators have degree one, so
 membership and interval structure come from layered enumeration:
 degree-m elements are sums of a degree-(m-1) element and a generator.
+
+One cover rule serves every divisibility poset: a cover adds one
+generator (``_divisibility_poset``).  ``lower_interval`` applies it to
+the elements below one element; the Koszul test applies it once to every
+element up to its rank bound and judges each interval (0, x) inside that
+poset.  Since a cover raises the degree by one, [0, x] is graded by
+degree, so (0, x) is pure and, for deg x >= 2, holds the generators
+below x: the test needs no emptiness or purity check.
 """
 
 from __future__ import annotations
@@ -14,15 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .cohen_macaulay import _order_complex_homology, _summary_violations, cm_coefficient_name
-from .homology import parse_coefficients
-from .posets import (
-    Poset,
-    PurityFailure,
-    SizeLimitError,
-    induced_subposet,
-    rank_info,
-)
+from .cohen_macaulay import _interval_homology, _summary_violations, cm_coefficient_name
+from .homology import _critical_chains, parse_coefficients
+from .posets import Poset, SizeLimitError, induced_subposet
 
 DEFAULT_LAYER_CAP = 200_000
 
@@ -191,30 +193,35 @@ def punctured_veronese_semigroup(d: int) -> HomogeneousSemigroup:
     return build_semigroup(sorted(set(gens)), weight=(1,) * d, scale=d)
 
 
+def _divisibility_poset(S: HomogeneousSemigroup, labels: Sequence[Vector]) -> Poset:
+    """Divisibility order on a down-closed set of semigroup elements
+    listed by degree: every cover adds one generator."""
+    pos = {v: i for i, v in enumerate(labels)}
+    covers = []
+    for i, mu in enumerate(labels):
+        for g in S.generators:
+            j = pos.get(_add(mu, g))
+            if j is not None:
+                covers.append((i, j))
+    return Poset(tuple(labels), covers, _validated=True)
+
+
 def lower_interval(S: HomogeneousSemigroup, element: Iterable[int]) -> Poset:
     """Divisibility interval [0, element] as a poset; elements are the
-    semigroup members below ``element``, covers add one generator."""
+    semigroup members below ``element`` by degree, then lexicographically,
+    and covers add one generator, by the Koszul test's cover rule."""
     lam = _vec(element, S.dim, "element")
     deg = S.degree(lam)
     if deg < 0 or not S.contains(lam, degree_hint=deg):
         raise SemigroupError(f"{lam} is not reached by enumeration")
+    layers = S.enumerate_up_to(deg)
     members = []
     for m in range(deg + 1):
-        for mu in S.enumerate_up_to(deg)[m]:
+        for mu in layers[m]:
             diff = _sub(lam, mu)
             if all(a >= 0 for a in diff) and S.contains(diff, degree_hint=deg - m):
                 members.append(mu)
-    member_set = set(members)
-    labels = sorted(member_set, key=lambda v: (S.degree(v), v))
-    covers = []
-    for mu in labels:
-        for g in S.generators:
-            nu = _add(mu, g)
-            if nu in member_set:
-                covers.append((mu, nu))
-    pos = {v: i for i, v in enumerate(labels)}
-    return Poset(tuple(labels), [(pos[a], pos[b]) for (a, b) in covers],
-                 _validated=True)
+    return _divisibility_poset(S, members)
 
 
 def open_interval_below(S: HomogeneousSemigroup, element: Iterable[int]) -> Poset:
@@ -233,14 +240,15 @@ def open_interval_below(S: HomogeneousSemigroup, element: Iterable[int]) -> Pose
 class KoszulReport:
     """Outcome of the interval test up to a rank bound.
 
-    ``passed`` means every open interval (0, x) with deg x <= max_rank
-    is pure with homology concentrated in dimension deg(x) - 2 over the
-    chosen coefficients: the poset criterion for Koszulness, verified up
-    to the bound.  This is a necessary condition only; no finite bound
-    certifies Koszulness.  ``homology_runs`` counts the intervals whose
-    homology was determined: those below elements of degree 3 and up,
-    whether their critical chains certified it or the homology engine
-    computed it.
+    ``passed`` means every open interval (0, x) with 2 <= deg x <= max_rank
+    has homology concentrated in dimension deg(x) - 2 over the chosen
+    coefficients: the poset criterion for Koszulness, verified up to the
+    bound.  Such an interval is always pure and nonempty, because every
+    generator has degree one.  This is a necessary condition only; no
+    finite bound certifies Koszulness.  ``homology_runs`` counts the
+    intervals whose homology was determined: those below elements of
+    degree 3 and up, whether their critical chains certified it or the
+    homology engine computed it.
     """
 
     passed: bool
@@ -264,35 +272,30 @@ def koszul_necessary_test(S: HomogeneousSemigroup, max_rank: int,
     """Test the Koszul interval criterion for all elements of degree at
     most ``max_rank`` (which must be at least 2).
 
-    Each interval is checked for emptiness and purity, then judged by the
+    One divisibility poset holds every element of degree at most
+    ``max_rank``; each interval (0, x) is judged inside it by the
     Cohen-Macaulay sweep's rule with rank gap ``m`` for an element of
-    degree ``m``.  A pure degree-2 interval is an antichain and passes
-    without a homology computation; every other interval's homology comes
-    from its critical chains, or from the homology engine where two of
-    them sit in adjacent dimensions.
+    degree ``m``.  Every generator has degree one, so a cover adds one
+    generator and [0, x] is graded by degree: the interval is pure, and
+    for ``m >= 2`` nonempty, so neither needs a check.  A degree-2
+    interval is an antichain and passes without a homology computation;
+    every other interval's homology comes from its critical chains, or
+    from the homology engine where two of them sit in adjacent dimensions.
     """
     if max_rank < 2:
         raise SemigroupError("need max_rank >= 2")
     mode = parse_coefficients(coeffs)
     name = cm_coefficient_name(mode)
     layers = S.enumerate_up_to(max_rank)
+    T = _divisibility_poset(S, [x for layer in layers for x in layer])
     checked = runs = 0
     for m in range(2, max_rank + 1):
         for lam in layers[m]:
             checked += 1
-            P = open_interval_below(S, lam)
-            if len(P) == 0:
-                return KoszulReport(False, max_rank, name,
-                                    witness=(lam, "empty open interval"),
-                                    elements_checked=checked, homology_runs=runs)
-            info = rank_info(P)
-            if isinstance(info, PurityFailure):
-                return KoszulReport(False, max_rank, name,
-                                    witness=(lam, "impure interval: " + info.message),
-                                    elements_checked=checked, homology_runs=runs)
             summary = None
             if m > 2:
-                summary = _order_complex_homology(P)
+                j = T.index(lam)
+                summary = _interval_homology(T, 0, j, _critical_chains(T, j)[0])
                 runs += 1
             bad = _summary_violations(summary, m, mode)
             if bad:

@@ -251,9 +251,9 @@ def run_verification(table_max_n: int = 6,
                      seed: int = 20240211) -> VerificationReport:
     """Run every verification block and return the combined report.
 
-    The default bounds match the documented budget (about a minute of
-    single-core work, 55-70 s measured on a 2-core Intel Xeon host with
-    Python 3.11, dominated by the n = 6 table row).
+    The default bounds match the documented budget (single-core work,
+    77 s measured on a 2-core Intel Xeon host with Python 3.11, dominated
+    by the n = 6 table row).
     Larger bounds are available behind the explicit arguments;
     ``include_rees_7`` adds the optional deranged-Rees check at n = 7.
     """

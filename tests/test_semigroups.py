@@ -3,12 +3,26 @@ import random
 
 import pytest
 
-from posettop.cohen_macaulay import is_cm_poset
+from posettop import cohen_macaulay, semigroups
+from posettop.cohen_macaulay import (
+    _summary_violations,
+    cm_coefficient_name,
+    is_cm_poset,
+)
+from posettop.complexes import order_complex
 from posettop.constructions import boolean, chain, rees, weighted_segre
-from posettop.posets import dual, is_isomorphic, require_rank_info
+from posettop.homology import integral_homology, parse_coefficients
+from posettop.posets import (
+    PurityFailure,
+    dual,
+    is_isomorphic,
+    rank_info,
+    require_rank_info,
+)
 from posettop.semigroups import (
     GradingMap,
     HomogeneousSemigroup,
+    KoszulReport,
     SemigroupError,
     build_semigroup,
     grading_map,
@@ -26,6 +40,61 @@ from posettop.semigroups import (
 
 from test_constructions import is_order_isomorphism
 from test_posets import boolean_lattice
+
+
+def veronese_semigroup(d, k):
+    """The k-th Veronese of N^d: all degree-k monomials in d variables."""
+    gens = []
+    for comp in itertools.combinations_with_replacement(range(d), k):
+        gens.append(tuple(comp.count(i) for i in range(d)))
+    return build_semigroup(gens, weight=(1,) * d, scale=k)
+
+
+def segre_of_naturals():
+    """Segre product of N^2 with itself: pairs of unit vectors."""
+    view = segre_semigroup(natural_semigroup(2), natural_semigroup(2), (1, 1))
+    return build_semigroup([x + y for (x, y) in view.enumerate_up_to(1)[1]])
+
+
+# (name, semigroup, max rank, Koszul)
+KOSZUL_CORPUS = [
+    ("N^1", lambda: natural_semigroup(1), 5, True),
+    ("N^2", lambda: natural_semigroup(2), 4, True),
+    ("N^3", lambda: natural_semigroup(3), 4, True),
+    ("punctured Veronese(2)", lambda: punctured_veronese_semigroup(2), 4, True),
+    ("punctured Veronese(3)", lambda: punctured_veronese_semigroup(3), 3, True),
+    ("Veronese(2,3)", lambda: veronese_semigroup(2, 3), 4, True),
+    ("Segre N^2 x N^2", segre_of_naturals, 4, True),
+    ("Rees N^2 * N", lambda: rees_semigroup(natural_semigroup(2), natural_semigroup(1)), 4, True),
+    ("non-Koszul", lambda: build_semigroup([(3, 0), (2, 1), (0, 3)]), 3, False),
+]
+
+
+def reference_koszul(S, max_rank, coeffs):
+    """The Koszul test one interval at a time: ``open_interval_below``, a
+    purity check, then the homology engine on the interval's order
+    complex."""
+    mode = parse_coefficients(coeffs)
+    name = cm_coefficient_name(mode)
+    layers = S.enumerate_up_to(max_rank)
+    checked = runs = 0
+    for m in range(2, max_rank + 1):
+        for lam in layers[m]:
+            checked += 1
+            P = open_interval_below(S, lam)
+            info = rank_info(P)
+            if len(P) == 0 or isinstance(info, PurityFailure):
+                bad = ("empty or impure",)
+            else:
+                summary = None
+                if m > 2:
+                    summary = integral_homology(order_complex(P))
+                    runs += 1
+                bad = _summary_violations(summary, m, mode)
+            if bad:
+                return KoszulReport(False, max_rank, name, witness=(lam, "; ".join(bad)),
+                                    elements_checked=checked, homology_runs=runs)
+    return KoszulReport(True, max_rank, name, elements_checked=checked, homology_runs=runs)
 
 
 class TestBuild:
@@ -111,12 +180,18 @@ class TestLowerIntervals:
             lower_interval(S, (1, 1))
 
     def test_rank_equals_degree(self):
-        S = punctured_veronese_semigroup(3)
-        lam = tuple(a + b for a, b in zip((3, 0, 0), (0, 3, 0)))
-        P = lower_interval(S, lam)
-        info = require_rank_info(P)
-        for v in P.labels:
-            assert info.rank[v] == S.degree(v)
+        # generators have degree one, so [0, lam] is graded by degree
+        # (hence pure) and (0, lam) holds the generators below lam: the
+        # Koszul test needs no emptiness or purity check
+        for name, make, _, _ in KOSZUL_CORPUS:
+            S = make()
+            for m, layer in enumerate(S.enumerate_up_to(4)):
+                for lam in layer:
+                    P = lower_interval(S, lam)
+                    info = require_rank_info(P)
+                    assert all(info.rank[v] == S.degree(v) for v in P.labels), (name, lam)
+                    if m >= 2:
+                        assert len(open_interval_below(S, lam)) > 0, (name, lam)
 
     def test_self_duality(self):
         # every computed lower interval is self-dual
@@ -172,6 +247,33 @@ class TestKoszulTest:
             # the same violation text as the CM sweep of the closed interval
             cm = is_cm_poset(lower_interval(S, (6, 3)), coeffs)
             assert detail in [f.found for f in cm.failures]
+
+    def test_matches_reference_sweep(self):
+        for name, make, r, koszul in KOSZUL_CORPUS:
+            for coeffs in ("Q", 2, "z-spherical"):
+                rep = koszul_necessary_test(make(), r, coeffs)
+                assert rep == reference_koszul(make(), r, coeffs), (name, coeffs)
+                assert rep.passed == koszul, (name, coeffs)
+
+    def test_one_poset_and_engine_only_where_needed(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("per-element interval built")
+        monkeypatch.setattr(semigroups, "open_interval_below", refuse)
+        monkeypatch.setattr(cohen_macaulay, "augment", refuse)
+        computed = []
+
+        def spy(K):
+            computed.append(K)
+            return integral_homology(K)
+        monkeypatch.setattr(cohen_macaulay, "integral_homology", spy)
+        assert koszul_necessary_test(natural_semigroup(3), 4).passed
+        assert computed == []
+        S = punctured_veronese_semigroup(3)
+        rep = koszul_necessary_test(S, 4)
+        assert computed
+        monkeypatch.undo()
+        assert rep.passed
+        assert rep == reference_koszul(S, 4, "Q")
 
     def test_lambda3_passes_rank3(self):
         S = punctured_veronese_semigroup(3)
