@@ -53,7 +53,7 @@ from .semigroups import (
     semigroup_from_json,
     semigroup_to_json,
 )
-from .verification import default_thread_count, run_verification
+from .verification import run_verification
 
 
 def _coefficients(value: str):
@@ -365,7 +365,7 @@ def _cmd_verify(args) -> int:
         mobius_max_n=bound(args.mobius_max_n, 5),
         oracle_samples=args.oracle_samples,
         include_rees_7=args.include_rees_7,
-        threads=args.threads if args.threads else default_thread_count())
+        threads=args.threads)
     if args.format == "json":
         _write_text(report.to_json(), args.output)
     else:

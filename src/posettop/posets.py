@@ -5,6 +5,9 @@ cover pairs (the transitive reduction of the order).  The full order
 relation is recovered lazily as reachability bitmasks, one Python int
 per element, which keeps interval extraction, Moebius computation and
 chain enumeration fast even for posets with a few thousand elements.
+:func:`build_poset` reduces raw relations with the same bitmasks, and
+:func:`find_isomorphism` decides isomorphism by individualization and
+refinement of cover-graph colourings.
 
 Posets are immutable after construction; every operation returns a new
 poset and never mutates its inputs.
@@ -167,7 +170,9 @@ class Poset:
                     if indeg[j] == 0:
                         stack.append(j)
             if len(order) != n:
-                raise PosetError("cycle in the relation")
+                stuck = sorted(set(range(n)) - set(order))
+                names = ", ".join(display_label(self.labels[i]) for i in stuck[:4])
+                raise PosetError(f"cycle in the relation involving: {names}")
             self._topo = tuple(order)
         return self._topo
 
@@ -224,18 +229,25 @@ class Poset:
 
     # -- validation ------------------------------------------------------
 
-    def _validate(self):
-        self.topo_order()  # raises on cycles
+    def _implied_pairs(self) -> Iterator[tuple[int, int]]:
+        """Yield the pairs of ``covers`` that other covers already imply.
+
+        Raises :class:`PosetError` if the covers contain a cycle.
+        """
         above = self.above_masks()
         for (i, j) in self.covers:
-            reach2 = 0
+            via = 0
             for k in self._up_adj[i]:
-                reach2 |= above[k]
-            if reach2 >> j & 1:
-                raise PosetError(
-                    f"covers are not transitively reduced: "
-                    f"({display_label(self.labels[i])!r}, {display_label(self.labels[j])!r}) "
-                    f"is implied by other covers")
+                via |= above[k]
+            if via >> j & 1:
+                yield (i, j)
+
+    def _validate(self):
+        for (i, j) in self._implied_pairs():
+            raise PosetError(
+                f"covers are not transitively reduced: "
+                f"({display_label(self.labels[i])!r}, {display_label(self.labels[j])!r}) "
+                f"is implied by other covers")
 
 
 @dataclass(frozen=True)
@@ -280,60 +292,12 @@ def build_poset(labels: Sequence[Hashable],
     >>> P.less("a", "c")
     True
     """
-    labels = tuple(labels)
-    index = {}
-    for i, lab in enumerate(labels):
-        if lab in index:
-            raise PosetError(f"duplicate label: {display_label(lab)!r}")
-        index[lab] = i
-    n = len(labels)
-    edges = set()
-    for (a, b) in cover_pairs:
-        if a not in index:
-            raise PosetError(f"unknown label: {display_label(a)!r}")
-        if b not in index:
-            raise PosetError(f"unknown label: {display_label(b)!r}")
-        i, j = index[a], index[b]
-        if i == j:
-            raise PosetError(f"cycle in the relation at {display_label(a)!r}")
-        edges.add((i, j))
-
-    up = [[] for _ in range(n)]
-    indeg = [0] * n
-    for (i, j) in edges:
-        up[i].append(j)
-        indeg[j] += 1
-    stack = [i for i in range(n) if indeg[i] == 0]
-    order = []
-    tmp = indeg[:]
-    while stack:
-        i = stack.pop()
-        order.append(i)
-        for j in up[i]:
-            tmp[j] -= 1
-            if tmp[j] == 0:
-                stack.append(j)
-    if len(order) != n:
-        stuck = sorted(set(range(n)) - set(order))
-        names = ", ".join(display_label(labels[i]) for i in stuck[:4])
-        raise PosetError(f"cycle in the relation involving: {names}")
-
-    # reachability from the raw edge set, used to drop redundant pairs
-    masks = [0] * n
-    for i in reversed(order):
-        acc = 0
-        for j in up[i]:
-            acc |= masks[j] | (1 << j)
-        masks[i] = acc
-    reduced = []
-    for (i, j) in edges:
-        via2 = 0
-        for k in up[i]:
-            if k != j:
-                via2 |= masks[k]
-        if not (via2 >> j & 1):
-            reduced.append((i, j))
-    return Poset(labels, reduced, _validated=True)
+    indexed = Poset(labels, (), _validated=True)  # rejects duplicate labels
+    raw = Poset(indexed.labels,
+                [(indexed.index(a), indexed.index(b)) for (a, b) in cover_pairs],
+                _validated=True)
+    implied = set(raw._implied_pairs())
+    return Poset(raw.labels, [e for e in raw.covers if e not in implied], _validated=True)
 
 
 def rank_info(P: Poset):
@@ -516,40 +480,54 @@ def dual(P: Poset) -> Poset:
 # -- isomorphism -------------------------------------------------------
 
 
-def _joint_refine_colors(P: Poset, Q: Poset) -> tuple[list[int], list[int]]:
-    """Neighbourhood color refinement with a table shared by both posets,
-    so equal color numbers mean equal invariants across P and Q."""
+def _refine(P: Poset, Q: Poset, cp: list[int], cq: list[int]) -> tuple[list[int], list[int]]:
+    """Refine the colourings ``cp`` of ``P`` and ``cq`` of ``Q`` together until
+    they are stable or their colour multisets differ.
 
-    def start(R):
-        return [(len(R._down_adj[i]), len(R._up_adj[i])) for i in range(len(R.labels))]
-
-    def step(R, colors, table):
-        new = []
-        for i in range(len(R.labels)):
-            sig = (colors[i],
-                   tuple(sorted(colors[j] for j in R._down_adj[i])),
-                   tuple(sorted(colors[j] for j in R._up_adj[i])))
-            new.append(table.setdefault(sig, len(table)))
-        return new
-
-    table0: dict = {}
-    cp = [table0.setdefault(s, len(table0)) for s in start(P)]
-    cq = [table0.setdefault(s, len(table0)) for s in start(Q)]
-    for _ in range(max(len(P.labels), len(Q.labels), 1)):
+    Each round recolours every element by its colour and the sorted colours
+    of its lower and of its upper covers.  One signature table per round
+    serves both posets, so equal colours mean equal invariants across ``P``
+    and ``Q``.  The returned colours number the classes from 0.
+    """
+    while True:
         table: dict = {}
-        np_ = step(P, cp, table)
-        nq = step(Q, cq, table)
-        if np_ == cp and nq == cq:
-            break
-        cp, cq = np_, nq
-    return cp, cq
+        new = [[table.setdefault((colors[i],
+                                  tuple(sorted(colors[k] for k in R._down_adj[i])),
+                                  tuple(sorted(colors[k] for k in R._up_adj[i]))),
+                                 len(table))
+                for i in range(len(R.labels))]
+               for R, colors in ((P, cp), (Q, cq))]
+        stable = len(table) == len(set(cp).union(cq))
+        cp, cq = new
+        if stable or sorted(cp) != sorted(cq):
+            return cp, cq
+
+
+def _classes(colors: list[int]) -> dict[int, list[int]]:
+    out: dict[int, list[int]] = {}
+    for i, c in enumerate(colors):
+        out.setdefault(c, []).append(i)
+    return out
 
 
 def find_isomorphism(P: Poset, Q: Poset, size_limit: int = 512) -> Optional[dict]:
     """Order isomorphism ``P -> Q`` as a label dict, or ``None``.
 
-    Backtracking search after color refinement; intended for desk-scale
-    posets.  Raises :class:`SizeLimitError` above ``size_limit`` elements.
+    Individualization-refinement (McKay-Piperno, *Practical graph
+    isomorphism, II*, 2014) on the cover graphs.  At each search node both
+    colourings are refined together (:func:`_refine`); if their colour
+    multisets differ there is no isomorphism below the node.  Otherwise the
+    map pairing each colour class in index order is tried and accepted if
+    it sends covers to covers.  If every class is a single element that map
+    was the only candidate; else one element of a smallest class gets a
+    fresh colour and is paired in turn with each element of its colour in
+    ``Q``.  Raises :class:`SizeLimitError` above ``size_limit`` elements.
+
+    >>> D = build_poset("0xy1", [("0", "x"), ("0", "y"), ("x", "1"), ("y", "1")])
+    >>> B2 = build_poset([(), (1,), (2,), (1, 2)],
+    ...                  [((), (1,)), ((), (2,)), ((1,), (1, 2)), ((2,), (1, 2))])
+    >>> find_isomorphism(D, B2)
+    {'0': (), 'x': (1,), 'y': (2,), '1': (1, 2)}
     """
     if len(P) != len(Q):
         return None
@@ -558,50 +536,33 @@ def find_isomorphism(P: Poset, Q: Poset, size_limit: int = 512) -> Optional[dict
             f"isomorphism search limited to {size_limit} elements, got {len(P)}")
     if len(P.covers) != len(Q.covers):
         return None
-    cp, cq = _joint_refine_colors(P, Q)
-    if sorted(cp) != sorted(cq):
-        return None
     n = len(P)
-    q_by_color = {}
-    for j in range(n):
-        q_by_color.setdefault(cq[j], []).append(j)
-    # assign rarest colors first
-    order = sorted(range(n), key=lambda i: (len(q_by_color[cp[i]]), i))
-    p_above = P.above_masks()
-    q_above = Q.above_masks()
-    img = [-1] * n
-    used = [False] * n
+    q_covers = set(Q.covers)
 
-    def ok(i, j, assigned):
-        for i2 in assigned:
-            j2 = img[i2]
-            if (p_above[i] >> i2 & 1) != (q_above[j] >> j2 & 1):
-                return False
-            if (p_above[i2] >> i & 1) != (q_above[j2] >> j & 1):
-                return False
-        return True
-
-    assigned = []
-
-    def search(k):
-        if k == n:
-            return True
-        i = order[k]
-        for j in q_by_color[cp[i]]:
-            if used[j]:
-                continue
-            if ok(i, j, assigned):
+    def search(cp, cq):
+        cp, cq = _refine(P, Q, cp, cq)
+        if sorted(cp) != sorted(cq):
+            return None
+        p_classes, q_classes = _classes(cp), _classes(cq)
+        img = [0] * n
+        for c, members in p_classes.items():
+            for i, j in zip(members, q_classes[c]):
                 img[i] = j
-                used[j] = True
-                assigned.append(i)
-                if search(k + 1):
-                    return True
-                assigned.pop()
-                used[j] = False
-                img[i] = -1
-        return False
+        if all((img[i], img[j]) in q_covers for (i, j) in P.covers):
+            return img
+        if len(p_classes) == n:
+            return None
+        cell = min((m for m in p_classes.values() if len(m) > 1), key=len)
+        i = cell[0]
+        for j in q_classes[cp[i]]:
+            # -1 is a fresh colour: refined colours are never negative
+            found = search(cp[:i] + [-1] + cp[i + 1:], cq[:j] + [-1] + cq[j + 1:])
+            if found is not None:
+                return found
+        return None
 
-    if not search(0):
+    img = search([0] * n, [0] * n)
+    if img is None:
         return None
     return {P.labels[i]: Q.labels[img[i]] for i in range(n)}
 

@@ -252,8 +252,8 @@ def run_verification(table_max_n: int = 6,
     """Run every verification block and return the combined report.
 
     The default bounds match the documented budget (single-core work,
-    77 s measured on a 2-core Intel Xeon host with Python 3.11, dominated
-    by the n = 6 table row).
+    69-73 s measured on a 2-core Intel Xeon host with Python 3.11,
+    dominated by the n = 6 table row).
     Larger bounds are available behind the explicit arguments;
     ``include_rees_7`` adds the optional deranged-Rees check at n = 7.
     """

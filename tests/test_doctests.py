@@ -15,4 +15,4 @@ def test_docstring_examples():
         failed += result.failed
         attempted += result.attempted
     assert failed == 0
-    assert attempted >= 34
+    assert attempted >= 37

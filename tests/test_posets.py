@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 
@@ -27,6 +28,12 @@ from posettop.posets import (
     rank_info,
     rank_map,
     require_rank_info,
+)
+from posettop.semigroups import (
+    natural_semigroup,
+    open_interval_below,
+    punctured_veronese_semigroup,
+    rees_semigroup,
 )
 
 
@@ -122,6 +129,30 @@ class TestBuildPoset:
     def test_redundant_pairs_are_reduced(self):
         P = build_poset(["a", "b", "c"], [("a", "b"), ("b", "c"), ("a", "c")])
         assert set(P.cover_pairs()) == {("a", "b"), ("b", "c")}
+
+    def test_covers_are_brute_force_reduction(self):
+        rng = random.Random(19)
+        for _ in range(60):
+            n = rng.randint(0, 8)
+            pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.4]
+            P = build_poset(range(n), pairs)
+            lt = {(a, b) for (a, b) in naive_leq(P) if a != b}
+            # a < b with nothing in between
+            expected = {(a, b) for (a, b) in lt
+                        if not any((a, c) in lt and (c, b) in lt for c in range(n))}
+            assert set(P.cover_pairs()) == expected
+
+    def test_cycle_names_its_labels(self):
+        labels = ["x", "a", "b", "y"]
+        pairs = [("x", "a"), ("a", "b"), ("b", "a")]
+        with pytest.raises(PosetError, match=r"cycle in the relation involving: a, b$"):
+            build_poset(labels, pairs)
+        with pytest.raises(PosetError, match=r"cycle in the relation involving: a, b$"):
+            Poset(labels, [(0, 1), (1, 2), (2, 1)])
+
+    def test_unvalidated_implied_pair_rejected(self):
+        with pytest.raises(PosetError, match=r"not transitively reduced: \('a', 'c'\)"):
+            Poset(["a", "b", "c"], [(0, 1), (1, 2), (0, 2)])
 
     def test_random_posets_are_reduced_and_acyclic(self):
         rng = random.Random(7)
@@ -279,6 +310,39 @@ class TestDual:
         assert len(L.minimal_elements()) == 2
 
 
+def crown(k, tag):
+    """Minimal elements l_i below maximal h_i and h_(i-1), indices mod k."""
+    lo = [(tag, "l", i) for i in range(k)]
+    hi = [(tag, "h", i) for i in range(k)]
+    return lo + hi, [(lo[i], hi[i]) for i in range(k)] + [(lo[i], hi[i - 1]) for i in range(k)]
+
+
+def brute_isomorphic(P, Q):
+    """Reference decision: try every bijection of the labels."""
+    if len(P) != len(Q) or len(P.covers) != len(Q.covers):
+        return False
+    q_covers = set(Q.cover_pairs())
+    for image in itertools.permutations(Q.labels):
+        f = dict(zip(P.labels, image))
+        if all((f[a], f[b]) in q_covers for (a, b) in P.cover_pairs()):
+            return True
+    return False
+
+
+def assert_witness(P, Q, f):
+    assert sorted(f.values(), key=repr) == sorted(Q.labels, key=repr)
+    for a in P.labels:
+        for b in P.labels:
+            assert P.leq(a, b) == Q.leq(f[a], f[b])
+
+
+def timed_isomorphism(P, Q, budget):
+    start = time.perf_counter()
+    f = find_isomorphism(P, Q)
+    assert time.perf_counter() - start < budget
+    return f
+
+
 class TestIsomorphism:
     def test_diamond_is_b2(self):
         D = build_poset(["0", "x", "y", "1"],
@@ -318,6 +382,56 @@ class TestIsomorphism:
             for a in P.labels:
                 for b in P.labels:
                     assert P.leq(a, b) == Q.leq(f[a], f[b])
+
+    def test_rees_veronese_intervals(self):
+        # two isomorphic 36-element intervals of Rees(Lambda_3, N^2) on which
+        # backtracking without refinement ran for minutes
+        S = rees_semigroup(punctured_veronese_semigroup(3), natural_semigroup(2))
+        P = open_interval_below(S, (1, 3, 5, 1, 1))
+        Q = open_interval_below(S, (3, 3, 3, 0, 1))
+        assert (len(P), len(P.covers)) == (len(Q), len(Q.covers)) == (36, 108)
+        f = timed_isomorphism(P, Q, 5.0)
+        assert f is not None
+        assert_witness(P, Q, f)
+
+    def test_symmetric_inputs_within_budget(self):
+        B8 = boolean_lattice(8)
+        f = timed_isomorphism(B8, dual(B8), 5.0)
+        assert f is not None
+        assert_witness(B8, dual(B8), f)
+        A = build_poset(range(300), [])
+        f = timed_isomorphism(A, build_poset(range(300, 600), []), 1.0)
+        assert f == {i: i + 300 for i in range(300)}
+
+    def test_crowns_not_isomorphic(self):
+        # every element of both has the same colour after refinement
+        labels, covers = crown(12, 0)
+        one = build_poset(labels, covers)
+        la, ca = crown(6, 1)
+        lb, cb = crown(6, 2)
+        two = build_poset(la + lb, ca + cb)
+        assert timed_isomorphism(one, two, 5.0) is None
+        assert timed_isomorphism(two, one, 5.0) is None
+
+    def test_matches_brute_force(self):
+        rng = random.Random(23)
+        found = 0
+        for t in range(200):
+            n = rng.randint(1, 6)
+            P = random_poset(rng, n, rng.choice([0.2, 0.4, 0.6]))
+            if t % 2:
+                image = list(P.labels)
+                rng.shuffle(image)
+                relabel = dict(zip(P.labels, image))
+                Q = build_poset(image, [(relabel[a], relabel[b]) for (a, b) in P.cover_pairs()])
+            else:
+                Q = random_poset(rng, n, rng.choice([0.2, 0.4, 0.6]))
+            f = find_isomorphism(P, Q)
+            assert (f is not None) == brute_isomorphic(P, Q)
+            if f is not None:
+                assert_witness(P, Q, f)
+                found += 1
+        assert 100 <= found < 200
 
 
 class TestPosetMap:
