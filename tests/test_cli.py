@@ -1,8 +1,9 @@
+import concurrent.futures
 import json
 
 import pytest
 
-from posettop import cli, semigroups
+from posettop import cli, semigroups, verification
 from posettop.cli import main
 from posettop.posets import poset_from_json, poset_to_json
 
@@ -226,6 +227,39 @@ class TestVerifyRunner:
         _, serial = run_cli(capsys, *base, "--threads", "1")
         _, parallel = run_cli(capsys, *base, "--threads", "2")
         assert serial == parallel
+
+    def test_pool_is_clamped_to_the_items(self, monkeypatch):
+        # a stand-in records the pool size; no process is started
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            RecordingPool)
+        assert verification._parallel_map(abs, [-1, -2, 3], 100000) == [1, 2, 3]
+        assert verification._parallel_map(abs, range(-5, 0), 2) == [5, 4, 3, 2, 1]
+        assert sizes == [3, 2]
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-3", "2.5"])
+    def test_malformed_thread_variable_is_usage_error(self, capsys,
+                                                      monkeypatch, value):
+        monkeypatch.setenv("POSETTOP_THREADS", value)
+        code = main(["verify-paper", "--max-n", "1", "--oracle-samples", "1"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.splitlines() == [
+            f"error: POSETTOP_THREADS must be a positive integer, got {value!r}"]
 
 
 class TestErrors:

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -157,6 +158,19 @@ class TestIntegralHomology:
         assert over2.nonzero_dims() == (1, 2)
         assert str(over2) == "H~1 = GF(2), H~2 = GF(2) (GF(2))"
         assert z.over_field(3).is_trivial()
+
+    def test_many_disjoint_projective_planes(self):
+        # the cascade leaves 6,179 cells and SNF finds 200 pivots of 2, so
+        # a pivot choice or a divisibility check that scans the whole
+        # matrix would blow the budget
+        facets = [[6 * k + v for v in f] for k in range(200) for f in RP2_FACETS]
+        K = simplicial_complex(range(1, 1201), facets)
+        start = time.perf_counter()
+        s = integral_homology(K)
+        assert time.perf_counter() - start < 1.0
+        assert s.nonzero_dims() == (0, 1)
+        assert s.betti(0) == 199 and s.torsion(0) == ()
+        assert s.betti(1) == 0 and s.torsion(1) == (2,) * 200
 
     def test_disjoint_edges(self):
         K = simplicial_complex(range(4), [[0, 1], [2, 3]])

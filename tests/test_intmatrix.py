@@ -7,6 +7,7 @@ import pytest
 from posettop.intmatrix import (
     IntegerMatrix,
     MatrixError,
+    _divisibility_chain,
     is_prime,
     rank_mod_p,
     rank_over_rationals,
@@ -137,6 +138,50 @@ class TestSmithNormalForm:
             M = random_matrix(rng, 4)
             N = apply_random_unimodular(M, rng)
             assert smith_normal_form(M).diagonal == smith_normal_form(N).diagonal
+
+    @pytest.mark.parametrize("planted, expected", [
+        ((1, 2, 4, 12, 0, 0), (1, 2, 4, 12)),
+        ((12, 0, 4, 2, 1), (1, 2, 4, 12)),
+        # not a divisibility chain: diag(a, b) ~ diag(gcd, lcm) must merge it
+        ((9, 4, 10, 6), (1, 2, 6, 180)),
+        ((3, 2, 3, 2, 0, 5), (1, 1, 1, 6, 30)),
+    ])
+    def test_planted_diagonal_recovered(self, planted, expected):
+        rng = random.Random(sum(planted))
+        for _ in range(12):
+            m = rng.randint(len(planted), 30)
+            n = rng.randint(len(planted), 30)
+            rows_at = rng.sample(range(m), len(planted))
+            cols_at = rng.sample(range(n), len(planted))
+            D = IntegerMatrix(m, n, dict(zip(zip(rows_at, cols_at), planted)))
+            N = apply_random_unimodular(D, rng, steps=m + n)
+            pad = min(m, n) - len(expected)
+            assert smith_normal_form(N).diagonal == expected + (0,) * pad
+
+    def test_divisibility_chain_against_prime_exponents(self):
+        # the invariant factors of a diagonal sort each prime's exponents
+        def factor(x):
+            out, p = {}, 2
+            while x > 1:
+                while x % p == 0:
+                    out[p] = out.get(p, 0) + 1
+                    x //= p
+                p += 1
+            return out
+
+        rng = random.Random(59)
+        for _ in range(300):
+            diag = [rng.choice((1, 2, 3, 4, 6, 8, 9, 10, 12, 25, 36, 49))
+                    for _ in range(rng.randint(0, 12))]
+            exps = {}
+            for i, x in enumerate(diag):
+                for p, e in factor(x).items():
+                    exps.setdefault(p, [0] * len(diag))[i] = e
+            expected = [1] * len(diag)
+            for p, es in exps.items():
+                for i, e in enumerate(sorted(es)):
+                    expected[i] *= p ** e
+            assert _divisibility_chain(diag) == expected, diag
 
     def test_deterministic(self):
         rng = random.Random(1)
