@@ -212,7 +212,6 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--rees-max-n", type=_positive_int, default=None)
     v.add_argument("--subword-max-n", type=_positive_int, default=None)
     v.add_argument("--mobius-max-n", type=_positive_int, default=None)
-    v.add_argument("--include-rees-7", action="store_true")
     v.add_argument("--oracle-samples", type=_positive_int, default=100)
     v.add_argument("--threads", type=_positive_int, default=None,
                    help="worker processes (default: POSETTOP_THREADS or 1)")
@@ -364,7 +363,6 @@ def _cmd_verify(args) -> int:
         subword_max_n=bound(args.subword_max_n, 5),
         mobius_max_n=bound(args.mobius_max_n, 5),
         oracle_samples=args.oracle_samples,
-        include_rees_7=args.include_rees_7,
         threads=args.threads)
     if args.format == "json":
         _write_text(report.to_json(), args.output)

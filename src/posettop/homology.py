@@ -1,7 +1,7 @@
 """Reduced simplicial homology over Z, Q, and prime fields.
 
-The chain complex is always augmented (the empty face is a cell in
-dimension -1), so every Betti number reported here is reduced.
+The chain complex is always augmented: layer 0 holds the empty face as an
+ordinary cell (dimension -1), so every Betti number here is reduced.
 
 One engine computes every answer.  It first shrinks the complex by
 repeatedly cancelling a cell pair whose incidence is the unique one of a
@@ -23,6 +23,7 @@ from __future__ import annotations
 from array import array
 from collections import Counter, deque
 from dataclasses import dataclass
+from itertools import accumulate, compress
 from typing import Mapping, Optional, Sequence, Union
 
 from .complexes import ComplexError, SimplicialComplex, poset_chains_by_size
@@ -283,198 +284,140 @@ def check_chain_complex(mats: Sequence[IntegerMatrix]) -> bool:
 class _CellComplex:
     """Flat cell storage for the augmented chain complex.
 
-    ``boundary[k]`` concatenates, cell by cell, the dim-(k-1) indices of
-    each dim-k cell's facets in a fixed per-cell order; the sign of the
-    j-th entry is (-1)^j.  Orientation comes from a total order on the
-    vertices (position order for chain cells, index order otherwise),
-    which is consistent across dimensions.
+    Layer k holds the cells with k vertices; layer 0 is the empty face, an
+    ordinary cell that is the one facet of every vertex.  ``boundary[k]``
+    concatenates the layer-(k-1) indices of each layer-k cell's k facets;
+    the sign of the j-th is (-1)^j in the vertex order of the cell tuples
+    (position order for chains, index order otherwise).  ``cofaces[k]``
+    holds each layer-k cell's cofaces in layer k + 1, cell i's from
+    ``cof_start[k][i]`` to ``cof_start[k][i + 1]``.
     """
 
-    __slots__ = ("counts", "boundary", "cofaces", "cof_start")
+    __slots__ = ("sizes", "boundary", "cofaces", "cof_start")
 
     def __init__(self, layers: list[list[tuple[int, ...]]]):
-        # layers[k] lists dim-k cells as tuples in a fixed vertex order
-        self.counts = [len(layer) for layer in layers]
+        # layers[k] lists the k-vertex cells as tuples in a fixed vertex order
+        self.sizes = [len(layer) for layer in layers]
         self.boundary = []
-        prev_index: dict = {}
-        for k, layer in enumerate(layers):
+        index: dict = {}
+        for layer in layers:
             bnd = array("l")
-            if k == 0:
-                bnd.extend([0] * len(layer))
-            else:
-                for f in layer:
-                    for drop in range(len(f)):
-                        bnd.append(prev_index[f[:drop] + f[drop + 1:]])
+            for f in layer:
+                for drop in range(len(f)):
+                    bnd.append(index[f[:drop] + f[drop + 1:]])
             self.boundary.append(bnd)
-            prev_index = {f: i for i, f in enumerate(layer)}
-        # coface lists in CSR form, per dimension
+            del index  # at most one face index is alive at a time
+            index = {f: i for i, f in enumerate(layer)}
+        del index
         self.cofaces = []
         self.cof_start = []
-        for k in range(len(layers)):
-            cnt = array("l", [0] * (self.counts[k] + 1))
-            if k + 1 < len(layers):
-                for r in self.boundary[k + 1]:
-                    cnt[r + 1] += 1
-            for i in range(self.counts[k]):
-                cnt[i + 1] += cnt[i]
-            data = array("l", [0] * cnt[self.counts[k]])
-            fill = array("l", cnt)
-            if k + 1 < len(layers):
-                width = k + 2
-                bnd = self.boundary[k + 1]
-                for col in range(self.counts[k + 1]):
-                    for t in range(width):
-                        r = bnd[col * width + t]
-                        data[fill[r]] = col
-                        fill[r] += 1
+        for k, n in enumerate(self.sizes):
+            up = self.boundary[k + 1] if k + 1 < len(layers) else ()
+            start = array("l", [0]) * (n + 1)
+            for r in up:
+                start[r + 1] += 1
+            start = array("l", accumulate(start))
+            data = array("l", [0]) * start[n]
+            fill = array("l", start)
+            for t, r in enumerate(up):
+                data[fill[r]] = t // (k + 1)
+                fill[r] += 1
             self.cofaces.append(data)
-            self.cof_start.append(cnt)
+            self.cof_start.append(start)
 
-    def ndims(self):
-        return len(self.counts)
+    @property
+    def counts(self) -> list[int]:  # nonempty cells per dimension
+        return self.sizes[1:]
 
 
 def _cell_complex(K: SimplicialComplex) -> _CellComplex:
-    if K.source_poset is not None:
-        layers = poset_chains_by_size(K.source_poset)
-    else:
-        layers = K.faces_by_dim()
-    return _CellComplex(layers)
+    P = K.source_poset
+    faces = K.faces_by_dim() if P is None else poset_chains_by_size(P)
+    return _CellComplex([[()], *faces])
 
 
-def _cascade(cx: _CellComplex):
+def _cascade(cx: _CellComplex) -> list[bytearray]:
     """Cancel unique-incidence cell pairs until none remain.
 
-    Returns per-dimension alive flags (including dimension -1, the empty
-    face, reported separately).  Homology is unchanged by each removal.
+    Returns one bytearray of alive flags per layer, so ``alive[0]`` is the
+    empty face.  A live cell with one live facet is removed with it (a
+    collapse), and one with one live coface with that coface (a
+    coreduction); neither changes the homology.
     """
-    ndims = cx.ndims()
-    alive = [bytearray([1]) ] + [bytearray([1]) * cx.counts[k] for k in range(ndims)]
-    # alive[0] is the empty face; alive[k+1] covers dimension k
-    bdeg = [array("l", [0])] + [array("l", [k + 1] * cx.counts[k]) for k in range(ndims)]
-    cdeg = [array("l", [cx.counts[0] if ndims else 0])]
-    for k in range(ndims):
-        start = cx.cof_start[k]
-        cdeg.append(array("l", (start[i + 1] - start[i] for i in range(cx.counts[k]))))
+    alive = [bytearray([1]) * n for n in cx.sizes]
+    bdeg = [array("l", [k]) * n for k, n in enumerate(cx.sizes)]  # live facets
+    cdeg = [array("l", (s[i + 1] - s[i] for i in range(n)))  # live cofaces
+            for s, n in zip(cx.cof_start, cx.sizes)]
 
-    queue = deque()
-    for k in range(ndims + 1):
-        for i in range(len(alive[k])):
-            if bdeg[k][i] == 1 or cdeg[k][i] == 1:
-                queue.append((k, i))
+    def facets(k, i):
+        return cx.boundary[k][i * k:i * k + k]
 
-    def boundary_cells(k, i):
-        # dim index k is offset by one in the alive arrays
-        if k == 0:
-            return ()
-        if k == 1:
-            return (0,)
-        width = k  # a dim-(k-1) cell has k boundary entries
-        b = cx.boundary[k - 1]
-        return b[(i * width):(i * width + width)]
+    def cofaces(k, i):
+        s = cx.cof_start[k]
+        return cx.cofaces[k][s[i]:s[i + 1]]
 
-    def coface_cells(k, i):
-        if k == 0:
-            # cofaces of the empty face: all vertices
-            return range(cx.counts[0]) if ndims else ()
-        if k - 1 + 1 < ndims:
-            s = cx.cof_start[k - 1]
-            return cx.cofaces[k - 1][s[i]:s[i + 1]]
-        return ()
+    def first_live(cells, k):
+        flags = alive[k]
+        for j in cells:
+            if flags[j]:
+                return j
 
-    removed = 0
+    def lose(cells, k, deg):
+        # each live cell of layer k in ``cells`` loses one live neighbour
+        flags, d = alive[k], deg[k]
+        for j in cells:
+            if flags[j]:
+                d[j] -= 1
+                if d[j] == 1:
+                    queue.append((k, j))
+
+    queue = deque((k, i) for k, n in enumerate(cx.sizes) for i in range(n)
+                  if bdeg[k][i] == 1 or cdeg[k][i] == 1)
     while queue:
         k, i = queue.popleft()
         if not alive[k][i]:
             continue
-        partner = None
         if bdeg[k][i] == 1:
-            for j in boundary_cells(k, i):
-                if alive[k - 1][j]:
-                    partner = (k - 1, j)
-                    break
-            a, b = (k, i), partner
+            k, j = k - 1, i
+            i = first_live(facets(k + 1, j), k)
         elif cdeg[k][i] == 1:
-            for j in coface_cells(k, i):
-                if alive[k + 1][j]:
-                    partner = (k + 1, j)
-                    break
-            a, b = partner, (k, i)
-        if partner is None:
+            j = first_live(cofaces(k, i), k + 1)
+        else:
             continue
-        (ka, ia), (kb, ib) = a, b
-        alive[ka][ia] = 0
-        alive[kb][ib] = 0
-        removed += 2
-        for x in coface_cells(ka, ia):
-            if alive[ka + 1][x]:
-                bdeg[ka + 1][x] -= 1
-                if bdeg[ka + 1][x] == 1:
-                    queue.append((ka + 1, x))
-        for x in coface_cells(kb, ib):
-            if alive[kb + 1][x]:
-                bdeg[kb + 1][x] -= 1
-                if bdeg[kb + 1][x] == 1:
-                    queue.append((kb + 1, x))
-        for j in boundary_cells(ka, ia):
-            if alive[ka - 1][j]:
-                cdeg[ka - 1][j] -= 1
-                if cdeg[ka - 1][j] == 1:
-                    queue.append((ka - 1, j))
-        for j in boundary_cells(kb, ib):
-            if alive[kb - 1][j]:
-                cdeg[kb - 1][j] -= 1
-                if cdeg[kb - 1][j] == 1:
-                    queue.append((kb - 1, j))
+        # cancel cell j of layer k + 1 with its facet i of layer k
+        alive[k + 1][j] = alive[k][i] = 0
+        if k + 2 < len(alive):  # no layer above the top one
+            lose(cofaces(k + 1, j), k + 2, bdeg)
+        lose(cofaces(k, i), k + 1, bdeg)
+        lose(facets(k + 1, j), k, cdeg)
+        lose(facets(k, i), k - 1, cdeg)
     return alive
 
 
 def _residual_homology(cx: _CellComplex, alive) -> HomologySummary:
-    """SNF of the boundary maps of the surviving subcomplex."""
-    ndims = cx.ndims()
-    new_index = []
-    alive_counts = []
-    for k in range(ndims + 1):
-        idx = {}
-        for i in range(len(alive[k])):
-            if alive[k][i]:
-                idx[i] = len(idx)
-        new_index.append(idx)
-        alive_counts.append(len(idx))
-
-    ranks = [0] * (ndims + 2)
-    torsion = [()] * (ndims + 2)
-    for k in range(1, ndims + 1):
-        cols_alive = new_index[k]
-        rows_alive = new_index[k - 1]
-        if not cols_alive or not rows_alive:
+    """SNF of the boundary maps between the surviving cells; a map with
+    no surviving cell on either side is skipped."""
+    live = [list(compress(range(len(flags)), flags)) for flags in alive]
+    index = [{i: n for n, i in enumerate(cells)} for cells in live]
+    divisors = [()] * (len(alive) + 1)
+    for k in range(1, len(alive)):
+        if not live[k] or not live[k - 1]:
             continue
         rows: dict[int, dict[int, int]] = {}
         colindex: dict[int, set[int]] = {}
-        width = k
-        bnd = cx.boundary[k - 1]
-        for i, ci in cols_alive.items():
-            if k == 1:
-                ents = [(0, 0)]
-            else:
-                ents = [(bnd[i * width + t], t) for t in range(width)]
-            for (r, t) in ents:
-                if alive[k - 1][r]:
-                    ri = rows_alive[r]
-                    v = -1 if t % 2 else 1
-                    rows.setdefault(ri, {})[ci] = v
+        bnd = cx.boundary[k]
+        for ci, i in enumerate(live[k]):
+            for t in range(k):
+                ri = index[k - 1].get(bnd[i * k + t])
+                if ri is not None:
+                    rows.setdefault(ri, {})[ci] = -1 if t % 2 else 1
                     colindex.setdefault(ci, set()).add(ri)
-        divisors = _snf_divisors(rows, colindex)
-        ranks[k] = len(divisors)
-        torsion[k] = tuple(sorted(d for d in divisors if d > 1))
-
-    groups = {}
-    for k in range(1, ndims + 1):
-        b = alive_counts[k] - ranks[k] - ranks[k + 1]
-        groups[k - 1] = (b, torsion[k + 1])
-    empty = bool(alive_counts[0]) and ndims >= 0 and all(
-        c == 0 for c in alive_counts[1:])
-    return make_summary("Z", groups, empty_complex=empty and alive_counts[0] == 1)
+        divisors[k] = _snf_divisors(rows, colindex)
+    # layer k holds the cells of dimension k - 1
+    groups = {k - 1: (len(live[k]) - len(divisors[k]) - len(divisors[k + 1]),
+                      tuple(sorted(d for d in divisors[k + 1] if d > 1)))
+              for k in range(1, len(alive))}
+    return make_summary("Z", groups, empty_complex=len(alive) == 1)
 
 
 def integral_homology(K: SimplicialComplex) -> HomologySummary:
@@ -486,11 +429,8 @@ def integral_homology(K: SimplicialComplex) -> HomologySummary:
     """
     if K.is_void:
         raise ComplexError("void complex has no homology")
-    if K.is_empty:
-        return HomologySummary("Z", (), empty_complex=True)
     cx = _cell_complex(K)
-    alive = _cascade(cx)
-    return _residual_homology(cx, alive)
+    return _residual_homology(cx, _cascade(cx))
 
 
 def betti(K: SimplicialComplex, f: FieldSpec = "Q") -> HomologySummary:

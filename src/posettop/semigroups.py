@@ -20,6 +20,7 @@ below x: the test needs no emptiness or purity check.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from .cohen_macaulay import _interval_homology, _summary_violations, cm_coefficient_name
@@ -332,8 +333,9 @@ class SegreSemigroupView:
     """Lazy weighted Segre product of two semigroups.
 
     Elements are the pairs ``(x, y)`` with ``deg(x) = g(y)``; the view
-    enumerates them by the degree of the second coordinate and builds
-    divisibility intervals without materializing product generators.
+    enumerates them by the degree of the second coordinate.  Its
+    divisibility intervals come from the product semigroup, generated by
+    the degree-one pairs.
     """
 
     def __init__(self, first: HomogeneousSemigroup, second: HomogeneousSemigroup,
@@ -366,44 +368,24 @@ class SegreSemigroupView:
             layers.append(sorted(layer))
         return layers
 
+    @cached_property
+    def _product(self) -> HomogeneousSemigroup:
+        """The Segre product as one semigroup on concatenated pairs
+        ``x + y``, generated by its degree-one pairs."""
+        gens = [x + y for (x, y) in self.enumerate_up_to(1)[1]]
+        return build_semigroup(gens, weight=(0,) * self.first.dim + self.second.weight,
+                               scale=self.second.scale)
+
     def lower_interval(self, pair) -> Poset:
+        """Divisibility interval [0, pair], by ``lower_interval`` on the
+        product semigroup, with each element split back into a pair."""
         lam = _vec(pair[0], self.first.dim, "first coordinate")
         gam = _vec(pair[1], self.second.dim, "second coordinate")
         if not self.contains((lam, gam)):
             raise SemigroupError(f"({lam}, {gam}) is not in the Segre product")
-        deg = self.second.degree(gam)
-        members = []
-        for m in range(deg + 1):
-            for y in self.second.enumerate_up_to(deg)[m]:
-                ydiff = _sub(gam, y)
-                if any(a < 0 for a in ydiff) or not self.second.contains(ydiff):
-                    continue
-                gy = self.grading(y)
-                for x in self.first.enumerate_up_to(gy)[gy]:
-                    xdiff = _sub(lam, x)
-                    if all(a >= 0 for a in xdiff) and self.first.contains(xdiff):
-                        members.append((x, y))
-        member_set = set(members)
-        labels = sorted(member_set,
-                        key=lambda p: (self.second.degree(p[1]), p))
-        # covers: one-step drops in the second-coordinate degree
-        by_degree: dict[int, list] = {}
-        for p in labels:
-            by_degree.setdefault(self.second.degree(p[1]), []).append(p)
-        covers = []
-        for m, layer in sorted(by_degree.items()):
-            for (x, y) in layer:
-                for (x2, y2) in by_degree.get(m + 1, ()):
-                    dx = _sub(x2, x)
-                    dy = _sub(y2, y)
-                    if any(a < 0 for a in dx) or any(a < 0 for a in dy):
-                        continue
-                    if self.second.contains(dy) and self.first.contains(dx) \
-                            and self.first.degree(dx) == self.grading(dy):
-                        covers.append(((x, y), (x2, y2)))
-        pos = {p: i for i, p in enumerate(labels)}
-        return Poset(tuple(labels), [(pos[a], pos[b]) for (a, b) in covers],
-                     _validated=True)
+        P = lower_interval(self._product, lam + gam)
+        labels = tuple(split_pair(v, self.first.dim) for v in P.labels)
+        return Poset(labels, P.covers, _validated=True)
 
 
 def segre_semigroup(first: HomogeneousSemigroup, second: HomogeneousSemigroup,

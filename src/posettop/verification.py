@@ -256,7 +256,6 @@ def run_verification(table_max_n: int = 6,
                      rees_max_n: int = 6,
                      subword_max_n: int = 5,
                      mobius_max_n: int = 5,
-                     include_rees_7: bool = False,
                      threads: Optional[int] = None,
                      oracle_samples: int = 100,
                      seed: int = 20240211) -> VerificationReport:
@@ -265,8 +264,7 @@ def run_verification(table_max_n: int = 6,
     The default bounds match the documented budget (single-core work,
     56-64 s measured on a 2-core Intel Xeon host with Python 3.11,
     dominated by the n = 6 table row).
-    Larger bounds are available behind the explicit arguments;
-    ``include_rees_7`` adds the optional deranged-Rees check at n = 7.
+    Larger bounds are available behind the explicit arguments.
     """
     if threads is None:
         threads = default_thread_count()
@@ -294,8 +292,8 @@ def run_verification(table_max_n: int = 6,
     table_cells.sort()
 
     # block 3: deranged Rees posets carry free homology of derangement rank
-    rees_ns = list(range(2, rees_max_n + 1)) + ([7] if include_rees_7 else [])
-    for (n, s, secs) in sorted(_parallel_map(_rees_task, rees_ns, threads)):
+    for (n, s, secs) in sorted(_parallel_map(_rees_task,
+                                             range(2, rees_max_n + 1), threads)):
         expected = make_summary("Z", {n - 1: (derangements(n), ())})
         results.append(CheckResult(
             "deranged Rees homology", f"R({n})", s == expected,

@@ -5,6 +5,7 @@ import pytest
 
 from posettop.complexes import (
     empty_complex,
+    f_vector,
     order_complex,
     reduced_euler,
     simplex_boundary,
@@ -13,6 +14,8 @@ from posettop.complexes import (
 )
 from posettop.homology import (
     HomologySummary,
+    _cascade,
+    _cell_complex,
     _critical_chains,
     _morse_summary,
     betti,
@@ -177,6 +180,35 @@ class TestIntegralHomology:
         s = integral_homology(K)
         assert s.nonzero_dims() == (0,)
         assert s.betti(0) == 1
+
+
+class TestCascade:
+    def test_survivors_per_layer(self):
+        # live cells per layer after the cascade, pinned; layer k holds the
+        # cells with k vertices, so layer 0 is the empty face
+        from posettop.constructions import boolean, fiber_ideal, rees_deranged, subword
+        cases = [
+            ("K(4)", order_complex(subword(4)), [0, 0, 0, 0, 9]),
+            ("R(5)", order_complex(rees_deranged(5)), [0, 0, 0, 0, 0, 44]),
+            ("I(5,3)", order_complex(fiber_ideal(5, range(1, 6), 3).poset),
+             [0, 0, 0, 0, 423, 423]),
+            ("boundary of the 11-simplex", simplex_boundary(12), [0] * 11 + [1]),
+            ("B5", order_complex(boolean(5)), [0] * 7),
+            ("empty complex", empty_complex(), [1]),
+        ]
+        for name, K, survivors in cases:
+            cx = _cell_complex(K)
+            alive = _cascade(cx)
+            assert [len(a) for a in alive] == list(f_vector(K)), name
+            assert sum(cx.counts) == sum(f_vector(K)[1:]), name
+            assert [a.count(1) for a in alive] == survivors, name
+
+    def test_survivors_on_random_complexes(self):
+        # pinned; without collapses or without coreductions more cells survive
+        rng = random.Random(11)
+        total = sum(a.count(1) for _ in range(200)
+                    for a in _cascade(_cell_complex(random_complex(rng))))
+        assert total == 29
 
 
 class TestSummaries:
