@@ -7,6 +7,7 @@ the former has ``facets == ((),)``, the latter ``facets == ()``.
 
 Order complexes remember their source poset, which lets face counting
 and homology walk chains directly instead of expanding facet subsets.
+Their facets, the maximal chains, are listed on first use only.
 """
 
 from __future__ import annotations
@@ -33,13 +34,16 @@ class SimplicialComplex:
 
     ``vertices`` is the declared ground set (fixing indices);
     ``facets`` are the maximal faces as sorted index tuples.  Declared
-    vertices that appear in no facet are not faces.
+    vertices that appear in no facet are not faces.  ``facets=None``
+    stands for the maximal chains of ``source_poset``, listed on first read.
     """
 
-    __slots__ = ("vertices", "facets", "_index", "source_poset")
+    __slots__ = ("vertices", "_facets", "_index", "source_poset")
 
-    def __init__(self, vertices: Sequence[Hashable], facets: Iterable[Sequence[int]],
+    def __init__(self, vertices: Sequence[Hashable], facets: Optional[Iterable[Sequence[int]]],
                  source_poset: Optional[Poset] = None):
+        if facets is None and source_poset is None:
+            raise ComplexError("facets are needed unless a source poset gives them")
         self.vertices = tuple(vertices)
         index = {}
         for i, v in enumerate(self.vertices):
@@ -47,36 +51,34 @@ class SimplicialComplex:
                 raise ComplexError(f"duplicate vertex: {display_label(v)!r}")
             index[v] = i
         self._index = index
-        n = len(self.vertices)
-        cleaned = set()
-        for f in facets:
-            t = tuple(sorted(set(f)))
-            for i in t:
-                if not (0 <= i < n):
-                    raise ComplexError(f"facet vertex index {i} out of range")
-            cleaned.add(t)
-        self.facets = tuple(sorted(_drop_non_maximal(cleaned)))
         self.source_poset = source_poset
+        self._facets = None
+        if facets is not None:
+            n = len(self.vertices)
+            cleaned = set()
+            for f in facets:
+                t = tuple(sorted(set(f)))
+                for i in t:
+                    if not (0 <= i < n):
+                        raise ComplexError(f"facet vertex index {i} out of range")
+                cleaned.add(t)
+            self._facets = tuple(sorted(_drop_non_maximal(cleaned)))
 
-    @classmethod
-    def _from_maximal(cls, vertices, facets, source_poset=None):
-        """Trusted path: ``facets`` are known sorted, distinct, maximal."""
-        self = object.__new__(cls)
-        self.vertices = tuple(vertices)
-        self._index = {v: i for i, v in enumerate(self.vertices)}
-        self.facets = tuple(sorted(facets))
-        self.source_poset = source_poset
-        return self
+    @property
+    def facets(self) -> tuple[tuple[int, ...], ...]:
+        if self._facets is None:
+            self._facets = _maximal_chains(self.source_poset)
+        return self._facets
 
     # -- kind tests ------------------------------------------------------
 
     @property
     def is_void(self) -> bool:
-        return not self.facets
+        return self._facets == ()
 
     @property
     def is_empty(self) -> bool:
-        return self.facets == ((),)
+        return self._facets == ((),)
 
     @property
     def dim(self) -> int:
@@ -250,31 +252,32 @@ def simplex_boundary(n: int) -> SimplicialComplex:
 def order_complex(P: Poset) -> SimplicialComplex:
     """Complex of all chains of ``P``; vertices are the elements of ``P``.
 
+    The facets, the maximal chains, are listed on first read of ``facets``;
+    face counts and homology walk the chains of ``P`` without them.
+
     >>> from posettop.posets import build_poset
     >>> order_complex(build_poset("abc", [("a", "b"), ("b", "c")])).facets
     ((0, 1, 2),)
     """
-    above = P.above_masks()
-    below = P.below_masks()
-    n = len(P.labels)
-    if n == 0:
+    if not P.labels:
         return empty_complex()
-    # maximal chains: saturated chains from a minimal to a maximal element
+    return SimplicialComplex(P.labels, None, source_poset=P)
+
+
+def _maximal_chains(P: Poset) -> tuple[tuple[int, ...], ...]:
+    """Maximal chains of ``P`` as sorted index tuples, in sorted order:
+    the saturated chains from a minimal to a maximal element."""
     up_adj = P._up_adj
-    facets = []
-    stack = [(i,) for i in range(n) if not below[i]]
-    for start in stack:
-        todo = [start]
-        while todo:
-            c = todo.pop()
-            ups = up_adj[c[-1]]
-            if not ups:
-                facets.append(tuple(sorted(c)))
-            else:
-                for j in ups:
-                    todo.append(c + (j,))
-    # maximal chains are distinct and mutually non-contained already
-    return SimplicialComplex._from_maximal(P.labels, facets, source_poset=P)
+    todo = [(i,) for i, below in enumerate(P.below_masks()) if not below]
+    chains = []
+    while todo:
+        c = todo.pop()
+        ups = up_adj[c[-1]]
+        if not ups:
+            chains.append(tuple(sorted(c)))
+        for j in ups:
+            todo.append(c + (j,))
+    return tuple(sorted(chains))
 
 
 def face_poset(K: SimplicialComplex) -> Poset:
@@ -284,13 +287,7 @@ def face_poset(K: SimplicialComplex) -> Poset:
     the classical barycentric subdivision.
     """
     faces = K.faces_by_dim()
-    labels = []
-    for layer in faces:
-        labels.extend(tuple(K.vertices[i] for i in f) for f in layer)
-    pos = {}
-    for idx, layer in enumerate(faces):
-        for f in layer:
-            pos[f] = tuple(K.vertices[i] for i in f)
+    pos = {f: tuple(K.vertices[i] for i in f) for layer in faces for f in layer}
     covers = []
     for k in range(1, len(faces)):
         for f in faces[k]:
@@ -298,7 +295,7 @@ def face_poset(K: SimplicialComplex) -> Poset:
             for drop in range(len(f)):
                 sub = f[:drop] + f[drop + 1:]
                 covers.append((pos[sub], lab))
-    return build_poset(labels, covers)
+    return build_poset(list(pos.values()), covers)
 
 
 def barycentric_subdivision(K: SimplicialComplex) -> SimplicialComplex:

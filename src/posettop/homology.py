@@ -157,11 +157,8 @@ class HomologySummary:
         The p-torsion of the top listed dimension adds a class one
         dimension above it, so the range runs one past ``groups``.
         """
-        groups = tuple((self.field_betti(i, f), ())
-                       for i in range(len(self.groups) + 1))
-        while groups and groups[-1] == (0, ()):
-            groups = groups[:-1]
-        return HomologySummary(field_name(f), groups, self.empty_complex)
+        groups = {i: (self.field_betti(i, f), ()) for i in range(len(self.groups) + 1)}
+        return make_summary(field_name(f), groups, self.empty_complex)
 
 
 def summary_to_data(s: HomologySummary) -> dict:
@@ -296,11 +293,13 @@ class _CellComplex:
     __slots__ = ("sizes", "boundary", "cofaces", "cof_start")
 
     def __init__(self, layers: list[list[tuple[int, ...]]]):
-        # layers[k] lists the k-vertex cells as tuples in a fixed vertex order
+        # layers[k] lists the k-vertex cells as tuples in a fixed vertex order;
+        # the list is emptied here, so each layer's tuples die with its index
         self.sizes = [len(layer) for layer in layers]
         self.boundary = []
         index: dict = {}
-        for layer in layers:
+        while layers:
+            layer = layers.pop(0)
             bnd = array("l")
             for f in layer:
                 for drop in range(len(f)):
@@ -308,11 +307,11 @@ class _CellComplex:
             self.boundary.append(bnd)
             del index  # at most one face index is alive at a time
             index = {f: i for i, f in enumerate(layer)}
-        del index
+        del index, layer
         self.cofaces = []
         self.cof_start = []
         for k, n in enumerate(self.sizes):
-            up = self.boundary[k + 1] if k + 1 < len(layers) else ()
+            up = self.boundary[k + 1] if k + 1 < len(self.sizes) else ()
             start = array("l", [0]) * (n + 1)
             for r in up:
                 start[r + 1] += 1
@@ -331,9 +330,8 @@ class _CellComplex:
 
 
 def _cell_complex(K: SimplicialComplex) -> _CellComplex:
-    P = K.source_poset
-    faces = K.faces_by_dim() if P is None else poset_chains_by_size(P)
-    return _CellComplex([[()], *faces])
+    P = K.source_poset  # no name holds the layers, so _CellComplex can free them
+    return _CellComplex([[()], *(K.faces_by_dim() if P is None else poset_chains_by_size(P))])
 
 
 def _cascade(cx: _CellComplex) -> list[bytearray]:

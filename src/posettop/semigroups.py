@@ -12,7 +12,8 @@ One cover rule serves every divisibility poset: a cover adds one
 generator (``_divisibility_poset``).  ``lower_interval`` applies it to
 the elements below one element; the Koszul test applies it once to every
 element up to its rank bound and judges each interval (0, x) inside that
-poset.  Since a cover raises the degree by one, [0, x] is graded by
+poset, all from one critical-chain pass over its dual, where (0, x) is
+(x, 0).  Since a cover raises the degree by one, [0, x] is graded by
 degree, so (0, x) is pure and, for deg x >= 2, holds the generators
 below x: the test needs no emptiness or purity check.
 """
@@ -25,7 +26,7 @@ from typing import Iterable, Optional, Sequence
 
 from .cohen_macaulay import _interval_homology, _summary_violations, cm_coefficient_name
 from .homology import _critical_chains, parse_coefficients
-from .posets import Poset, SizeLimitError, induced_subposet
+from .posets import Poset, SizeLimitError, dual, induced_subposet
 
 DEFAULT_LAYER_CAP = 200_000
 
@@ -282,6 +283,8 @@ def koszul_necessary_test(S: HomogeneousSemigroup, max_rank: int,
     interval is an antichain and passes without a homology computation;
     every other interval's homology comes from its critical chains, or
     from the homology engine where two of them sit in adjacent dimensions.
+    One pass of ``_critical_chains`` over the dual poset, where (0, x) is
+    (x, 0), gives the critical chains of every (0, x) at once.
     """
     if max_rank < 2:
         raise SemigroupError("need max_rank >= 2")
@@ -289,6 +292,7 @@ def koszul_necessary_test(S: HomogeneousSemigroup, max_rank: int,
     name = cm_coefficient_name(mode)
     layers = S.enumerate_up_to(max_rank)
     T = _divisibility_poset(S, [x for layer in layers for x in layer])
+    crit = _critical_chains(dual(T), 0)  # index 0 is the zero element
     checked = runs = 0
     for m in range(2, max_rank + 1):
         for lam in layers[m]:
@@ -296,7 +300,7 @@ def koszul_necessary_test(S: HomogeneousSemigroup, max_rank: int,
             summary = None
             if m > 2:
                 j = T.index(lam)
-                summary = _interval_homology(T, 0, j, _critical_chains(T, j)[0])
+                summary = _interval_homology(T, 0, j, crit[j])
                 runs += 1
             bad = _summary_violations(summary, m, mode)
             if bad:

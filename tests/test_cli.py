@@ -1,5 +1,6 @@
 import concurrent.futures
 import json
+from pathlib import Path
 
 import pytest
 
@@ -304,6 +305,17 @@ class TestMaxNCap:
         names = [c["name"] for c in json.loads(out)["checks"]]
         assert "K(3)" in names
         assert "I(3,1)" not in names
+
+
+class TestGoldenPayload:
+    def test_small_verify_paper_json_is_byte_identical(self, capsys):
+        # tests/data/verify_paper_small.json is the output of
+        # `posettop verify-paper --max-n 4 --oracle-samples 5 --format json`
+        golden = (Path(__file__).parent / "data" / "verify_paper_small.json").read_text()
+        code, out = run_cli(capsys, "verify-paper", "--max-n", "4",
+                            "--oracle-samples", "5", "--format", "json")
+        assert code == 0
+        assert out == golden
 
 
 class TestComplexSegreCommand:

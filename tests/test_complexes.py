@@ -24,6 +24,7 @@ from posettop.complexes import (
     type_select,
     void_complex,
 )
+from posettop.homology import betti, integral_homology
 from posettop.posets import build_poset, is_isomorphic, open_interval
 
 from test_posets import boolean_lattice, random_poset
@@ -108,6 +109,34 @@ class TestOrderComplex:
     def test_empty_poset(self):
         K = order_complex(build_poset([], []))
         assert K.is_empty
+
+    def test_facets_are_listed_on_first_read_only(self):
+        K = order_complex(boolean_lattice(4))
+        for ask in (integral_homology, betti, f_vector, reduced_euler,
+                    SimplicialComplex.faces_by_dim):
+            ask(K)
+        assert not K.is_void and not K.is_empty
+        assert K._facets is None
+        assert len(K.facets) == 24  # one maximal chain per permutation
+        assert K._facets is K.facets
+
+    def test_facets_are_the_maximal_chains(self):
+        rng = random.Random(12)
+        for _ in range(50):
+            P = random_poset(rng, rng.randint(1, 7))
+            x = P.labels
+            chains = [c for k in range(1, len(x) + 1)
+                      for c in itertools.combinations(range(len(x)), k)
+                      if all(P.less(x[a], x[b]) or P.less(x[b], x[a])
+                             for a, b in itertools.combinations(c, 2))]
+            brute = [c for c in chains if not any(set(c) < set(d) for d in chains)]
+            K = order_complex(P)
+            assert K.facets == tuple(sorted(brute))
+            assert complex_to_json(K) == complex_to_json(SimplicialComplex(K.vertices, brute))
+
+    def test_facets_are_needed_without_a_poset(self):
+        with pytest.raises(ComplexError):
+            SimplicialComplex((1, 2), None)
 
 
 class TestFacePoset:

@@ -11,7 +11,7 @@ from posettop.cohen_macaulay import (
 )
 from posettop.complexes import order_complex
 from posettop.constructions import boolean, chain, rees, weighted_segre
-from posettop.homology import integral_homology, parse_coefficients
+from posettop.homology import _critical_chains, integral_homology, parse_coefficients
 from posettop.posets import (
     PurityFailure,
     dual,
@@ -274,6 +274,19 @@ class TestKoszulTest:
         monkeypatch.undo()
         assert rep.passed
         assert rep == reference_koszul(S, 4, "Q")
+
+    def test_one_critical_chain_pass_per_test(self, monkeypatch):
+        calls = []
+
+        def spy(P, y):
+            calls.append(y)
+            return _critical_chains(P, y)
+        monkeypatch.setattr(semigroups, "_critical_chains", spy)
+        for S in (natural_semigroup(3), punctured_veronese_semigroup(3)):
+            calls.clear()
+            rep = koszul_necessary_test(S, 4)
+            assert rep.passed and rep.homology_runs > 1
+            assert len(calls) == 1
 
     def test_lambda3_passes_rank3(self):
         S = punctured_veronese_semigroup(3)
