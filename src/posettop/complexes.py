@@ -85,21 +85,37 @@ class SimplicialComplex:
         """Dimension; -1 for the empty complex, error for the void complex."""
         if self.is_void:
             raise ComplexError("the void complex has no dimension")
-        return max(len(f) for f in self.facets) - 1
+        if self._facets is None:
+            return len(chain_count_by_size(self.source_poset)) - 1
+        return max(len(f) for f in self._facets) - 1
+
+    def _facet_count(self) -> int:
+        if self._facets is None:
+            return _maximal_chain_count(self.source_poset)
+        return len(self._facets)
 
     def __repr__(self):
         if self.is_void:
             return "SimplicialComplex(void)"
         return (f"SimplicialComplex({len(self.vertices)} vertices, "
-                f"{len(self.facets)} facets, dim {self.dim})")
+                f"{self._facet_count()} facets, dim {self.dim})")
 
     def __eq__(self, other):
         if not isinstance(other, SimplicialComplex):
             return NotImplemented
-        return self.vertices == other.vertices and self.facets == other.facets
+        if self.vertices != other.vertices:
+            return False
+        P, Q = self.source_poset, other.source_poset
+        if P is not None and Q is not None:
+            # an order complex is the clique complex of its comparability graph
+            return _comparable_masks(P) == _comparable_masks(Q)
+        return self.facets == other.facets
 
     def __hash__(self):
-        return hash((self.vertices, self.facets))
+        # invariants of the facets that an order complex gets without them
+        if self.is_void:
+            return hash((self.vertices, 0))
+        return hash((self.vertices, self._facet_count(), self.dim))
 
     def vertex_index(self, v) -> int:
         try:
@@ -136,6 +152,10 @@ class SimplicialComplex:
 
     def has_face(self, face: Sequence[Hashable]) -> bool:
         t = set(self.vertex_index(v) for v in face)
+        if self.source_poset is not None:  # a face is a chain
+            above, below = self.source_poset.above_masks(), self.source_poset.below_masks()
+            mask = sum(1 << i for i in t)
+            return all(mask & ~(above[i] | below[i]) == 1 << i for i in t)
         return any(t <= set(f) for f in self.facets)
 
 
@@ -262,6 +282,20 @@ def order_complex(P: Poset) -> SimplicialComplex:
     if not P.labels:
         return empty_complex()
     return SimplicialComplex(P.labels, None, source_poset=P)
+
+
+def _comparable_masks(P: Poset) -> list[int]:
+    """``result[i]`` has bit ``j`` set iff ``i`` and ``j`` are comparable and distinct."""
+    return [a | b for a, b in zip(P.above_masks(), P.below_masks())]
+
+
+def _maximal_chain_count(P: Poset) -> int:
+    """Number of maximal chains of ``P``, counted over its covers."""
+    ways = [0] * len(P.labels)
+    for i in P.topo_order():
+        down = P._down_adj[i]
+        ways[i] = sum(ways[j] for j in down) if down else 1
+    return sum(w for w, up in zip(ways, P._up_adj) if not up)
 
 
 def _maximal_chains(P: Poset) -> tuple[tuple[int, ...], ...]:

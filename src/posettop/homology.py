@@ -3,12 +3,15 @@
 The chain complex is always augmented: layer 0 holds the empty face as an
 ordinary cell (dimension -1), so every Betti number here is reduced.
 
-One engine computes every answer.  It first shrinks the complex by
-repeatedly cancelling a cell pair whose incidence is the unique one of a
-cell (a homology-preserving deletion that never changes coefficients)
-and then runs exact Smith normal form on what is left.  The integral
-groups fix the homology over every field by the universal coefficient
-theorem, so ``betti`` derives field Betti numbers from them
+One engine computes every answer.  It lays the faces out on the chain
+tree, where a cell is its parent (the cell without its last vertex) plus
+one vertex, so each boundary is index arithmetic on the parent's and no
+face tuple or face index is ever built (``_CellComplex``).  It then
+shrinks the complex by repeatedly cancelling a cell pair whose incidence
+is the unique one of a cell (a homology-preserving deletion that never
+changes coefficients) and runs exact Smith normal form on what is left.
+The integral groups fix the homology over every field by the universal
+coefficient theorem, so ``betti`` derives field Betti numbers from them
 (``HomologySummary.over_field``).  The dense field ranks of ``intmatrix``
 stay the independent reference the test suite checks this engine against.
 
@@ -23,10 +26,11 @@ from __future__ import annotations
 from array import array
 from collections import Counter, deque
 from dataclasses import dataclass
-from itertools import accumulate, compress
+from itertools import accumulate, compress, count
+from operator import sub
 from typing import Mapping, Optional, Sequence, Union
 
-from .complexes import ComplexError, SimplicialComplex, poset_chains_by_size
+from .complexes import ComplexError, SimplicialComplex
 from .intmatrix import IntegerMatrix, _snf_divisors, is_prime
 from .posets import Poset, iter_bits
 
@@ -279,46 +283,71 @@ def check_chain_complex(mats: Sequence[IntegerMatrix]) -> bool:
 
 
 class _CellComplex:
-    """Flat cell storage for the augmented chain complex.
+    """Flat cell storage for the augmented chain complex, laid out on the
+    chain tree.
 
     Layer k holds the cells with k vertices; layer 0 is the empty face, an
-    ordinary cell that is the one facet of every vertex.  ``boundary[k]``
-    concatenates the layer-(k-1) indices of each layer-k cell's k facets;
-    the sign of the j-th is (-1)^j in the vertex order of the cell tuples
-    (position order for chains, index order otherwise).  ``cofaces[k]``
-    holds each layer-k cell's cofaces in layer k + 1, cell i's from
-    ``cof_start[k][i]`` to ``cof_start[k][i + 1]``.
+    ordinary cell that is the one facet of every vertex.  A cell's up-mask
+    is the set of vertices that extend it at the end: ``above`` of its top
+    element for a chain, the later vertices of a facet through it
+    otherwise.  A layer-(k+1) cell is a layer-k cell p (its parent) plus a
+    vertex j of p's up-mask; the children of each parent follow those of
+    the one before, in increasing j, so a child's index is its parent's
+    first child plus the number of up-mask bits below j.  A cell's vertex
+    order is the order they were added (position order for chains, index
+    order otherwise), and ``boundary[k]`` concatenates the layer-(k-1)
+    indices of each layer-k cell's k facets, the t-th dropping the t-th
+    vertex, with sign (-1)^t.  Dropping the last vertex gives the parent;
+    dropping an earlier one gives the child at j of the parent's facet
+    that drops it, so no face is ever looked up.  ``cofaces[k]`` holds each
+    layer-k cell's cofaces in layer k + 1, cell i's from
+    ``cof_start[k][i]`` to ``cof_start[k][i + 1]``.  Every array holds
+    4-byte ints.
     """
 
     __slots__ = ("sizes", "boundary", "cofaces", "cof_start")
 
-    def __init__(self, layers: list[list[tuple[int, ...]]]):
-        # layers[k] lists the k-vertex cells as tuples in a fixed vertex order;
-        # the list is emptied here, so each layer's tuples die with its index
-        self.sizes = [len(layer) for layer in layers]
-        self.boundary = []
-        index: dict = {}
-        while layers:
-            layer = layers.pop(0)
-            bnd = array("l")
-            for f in layer:
-                for drop in range(len(f)):
-                    bnd.append(index[f[:drop] + f[drop + 1:]])
+    def __init__(self, nv: int, root: int, grow):
+        # A cell's key is an int whose bits below nv are its up-mask (the
+        # bits above are the caller's); ``root`` is the empty face's key and
+        # ``grow(key, j)`` the key of the child at vertex j.
+        below = [(1 << j) - 1 for j in range(nv)]
+        vmask = (1 << nv) - 1
+        self.sizes = [1]
+        self.boundary = [array("i")]
+        first = prev = None  # first child and key of each layer-(k-1) cell
+        keys = [root]
+        for k in count():
+            bnd_k, bnd = self.boundary[k], array("i")
+            starts, nxt = array("i"), []
+            for p, key in enumerate(keys):
+                starts.append(len(nxt))
+                up = key & vmask
+                if not up:
+                    continue
+                facets = bnd_k[p * k:p * k + k]
+                for j in iter_bits(up):
+                    low = below[j]
+                    bnd.extend([first[q] + (prev[q] & low).bit_count() for q in facets])
+                    bnd.append(p)
+                    nxt.append(grow(key, j))
+            if not nxt:
+                break
+            self.sizes.append(len(nxt))
             self.boundary.append(bnd)
-            del index  # at most one face index is alive at a time
-            index = {f: i for i, f in enumerate(layer)}
-        del index, layer
+            first, prev, keys = starts, keys, nxt
+        del first, prev, keys, nxt
         self.cofaces = []
         self.cof_start = []
-        for k, n in enumerate(self.sizes):
-            up = self.boundary[k + 1] if k + 1 < len(self.sizes) else ()
-            start = array("l", [0]) * (n + 1)
-            for r in up:
-                start[r + 1] += 1
-            start = array("l", accumulate(start))
-            data = array("l", [0]) * start[n]
-            fill = array("l", start)
-            for t, r in enumerate(up):
+        for k, n in enumerate(self.sizes):  # counting sort of boundary[k + 1]
+            higher = self.boundary[k + 1] if k + 1 < len(self.sizes) else ()
+            fill = [0] * (n + 1)
+            for r in higher:
+                fill[r + 1] += 1
+            start = array("i", accumulate(fill))
+            fill = list(start)
+            data = array("i", bytes(4 * start[n]))
+            for t, r in enumerate(higher):
                 data[fill[r]] = t // (k + 1)
                 fill[r] += 1
             self.cofaces.append(data)
@@ -330,8 +359,32 @@ class _CellComplex:
 
 
 def _cell_complex(K: SimplicialComplex) -> _CellComplex:
-    P = K.source_poset  # no name holds the layers, so _CellComplex can free them
-    return _CellComplex([[()], *(K.faces_by_dim() if P is None else poset_chains_by_size(P))])
+    """The chain tree of ``K``'s faces: an order complex's up-masks are
+    its poset's ``above`` masks; an explicit complex's key carries, above
+    the vertex bits, the set of facets through the cell."""
+    P = K.source_poset
+    if P is not None:
+        above = P.above_masks()
+        return _CellComplex(len(above), (1 << len(above)) - 1, lambda key, j: above[j])
+    nv = len(K.vertices)
+    spans = []  # vertex mask of each facet
+    through = [0] * nv  # facets through each vertex, as key bits
+    root = 0
+    for b, f in enumerate(K.facets):
+        bit = 1 << (nv + b)
+        spans.append(sum(1 << v for v in f))
+        root |= bit | spans[b]
+        for v in f:
+            through[v] |= bit
+
+    def grow(key, j):
+        facets = key & through[j]
+        up = 0
+        for b in iter_bits(facets >> nv):
+            up |= spans[b]
+        return facets | (up >> (j + 1) << (j + 1))
+
+    return _CellComplex(nv, root, grow)
 
 
 def _cascade(cx: _CellComplex) -> list[bytearray]:
@@ -343,9 +396,8 @@ def _cascade(cx: _CellComplex) -> list[bytearray]:
     coreduction); neither changes the homology.
     """
     alive = [bytearray([1]) * n for n in cx.sizes]
-    bdeg = [array("l", [k]) * n for k, n in enumerate(cx.sizes)]  # live facets
-    cdeg = [array("l", (s[i + 1] - s[i] for i in range(n)))  # live cofaces
-            for s, n in zip(cx.cof_start, cx.sizes)]
+    bdeg = [array("i", [k]) * n for k, n in enumerate(cx.sizes)]  # live facets
+    cdeg = [array("i", map(sub, s[1:], s)) for s in cx.cof_start]  # live cofaces
 
     def facets(k, i):
         return cx.boundary[k][i * k:i * k + k]

@@ -1,12 +1,20 @@
 """Slow reference homology, kept only to check the engine in the tests.
 
-Both functions work on the full, unreduced boundary matrices and share
-no code with the engine's cascade or with its derivation of field
-answers from integral ones.  ``elimination_betti`` takes field ranks by
-fraction-free elimination over Q and modular elimination over GF(p);
-``snf_homology`` takes the Smith normal form of every boundary matrix.
+``elimination_betti`` and ``snf_homology`` work on the full, unreduced
+boundary matrices and share no code with the engine's cascade or with
+its derivation of field answers from integral ones.
+``elimination_betti`` takes field ranks by fraction-free elimination
+over Q and modular elimination over GF(p); ``snf_homology`` takes the
+Smith normal form of every boundary matrix.  ``tuple_cell_complex``
+builds the engine's cell arrays from face tuples and a dict index of
+each layer, without the chain tree's index arithmetic.
 """
 
+from array import array
+from itertools import accumulate
+from types import SimpleNamespace
+
+from posettop.complexes import poset_chains_by_size
 from posettop.homology import (
     HomologySummary,
     _field,
@@ -46,3 +54,36 @@ def snf_homology(K) -> HomologySummary:
         t = snfs[i + 1].nontrivial() if i + 1 < len(snfs) else ()
         groups[i] = (M.ncols - ranks[i] - ranks[i + 1], t)
     return make_summary("Z", groups)
+
+
+def tuple_cell_complex(K) -> SimpleNamespace:
+    """``sizes``, ``boundary``, ``cofaces`` and ``cof_start`` of the
+    engine's cell complex, built by looking each facet tuple up in a dict
+    of the layer below."""
+    P = K.source_poset
+    layers = [[()], *(K.faces_by_dim() if P is None else poset_chains_by_size(P))]
+    sizes = [len(layer) for layer in layers]
+    boundary = []
+    index: dict = {}
+    for layer in layers:
+        bnd = array("i")
+        for f in layer:
+            for drop in range(len(f)):
+                bnd.append(index[f[:drop] + f[drop + 1:]])
+        boundary.append(bnd)
+        index = {f: i for i, f in enumerate(layer)}
+    cofaces, cof_start = [], []
+    for k, n in enumerate(sizes):
+        up = boundary[k + 1] if k + 1 < len(sizes) else ()
+        start = array("i", [0]) * (n + 1)
+        for r in up:
+            start[r + 1] += 1
+        start = array("i", accumulate(start))
+        data = array("i", [0]) * start[n]
+        fill = array("i", start)
+        for t, r in enumerate(up):
+            data[fill[r]] = t // (k + 1)
+            fill[r] += 1
+        cofaces.append(data)
+        cof_start.append(start)
+    return SimpleNamespace(sizes=sizes, boundary=boundary, cofaces=cofaces, cof_start=cof_start)

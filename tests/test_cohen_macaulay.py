@@ -41,7 +41,7 @@ from posettop.posets import (
 )
 
 from test_homology import projective_plane
-from test_posets import random_pure_bounded_poset
+from test_posets import boolean_top_first, random_pure_bounded_poset
 
 
 def reference_cm_failures(P, mode):
@@ -59,13 +59,6 @@ def reference_cm_failures(P, mode):
             if bad:
                 failures.append(CMFailure(x, y, gap - 2, "; ".join(bad)))
     return tuple(failures)
-
-
-def boolean_top_first(n):
-    """``boolean(n)`` with its labels listed top-first: its index order
-    is not a linear extension."""
-    B = boolean(n)
-    return build_poset(B.labels[::-1], [(B.labels[i], B.labels[j]) for (i, j) in B.covers])
 
 
 def disjoint_chains():

@@ -134,6 +134,29 @@ class TestOrderComplex:
             assert K.facets == tuple(sorted(brute))
             assert complex_to_json(K) == complex_to_json(SimplicialComplex(K.vertices, brute))
 
+    def test_queries_do_not_list_facets(self):
+        # repr, dim, has_face, == and hash of an order complex come from its
+        # poset and equal those of the explicit complex on its facets
+        rng = random.Random(14)
+        pairs = [(random_poset(rng, n), random_poset(rng, n))
+                 for n in (rng.randint(1, 7) for _ in range(40))]
+        pairs.append((build_poset("ab", [("a", "b")]), build_poset("ab", [("b", "a")])))
+        for P, Q in pairs:
+            K, L, other = order_complex(P), order_complex(P), order_complex(Q)
+            explicit = SimplicialComplex(K.vertices, order_complex(P).facets)
+            explicit_other = SimplicialComplex(other.vertices, order_complex(Q).facets)
+            assert repr(K) == repr(explicit)
+            assert K.dim == explicit.dim
+            for k in range(len(K.vertices) + 1):
+                for face in itertools.combinations(K.vertices, k):
+                    assert K.has_face(face) == explicit.has_face(face)
+            assert K == L and hash(K) == hash(L) == hash(explicit)
+            assert (K == other) == (explicit == explicit_other)
+            if K == other:
+                assert hash(K) == hash(other)
+            assert K._facets is L._facets is other._facets is None
+            assert K == explicit and explicit == L
+
     def test_facets_are_needed_without_a_poset(self):
         with pytest.raises(ComplexError):
             SimplicialComplex((1, 2), None)

@@ -1,9 +1,11 @@
+import importlib
 import random
 import time
 
 import pytest
 
 from posettop.complexes import (
+    SimplicialComplex,
     empty_complex,
     f_vector,
     order_complex,
@@ -30,9 +32,9 @@ from posettop.homology import (
 from posettop.intmatrix import IntegerMatrix
 from posettop.posets import build_poset, iter_bits, mobius, open_interval
 
-from homology_oracle import elimination_betti, snf_homology
+from homology_oracle import elimination_betti, snf_homology, tuple_cell_complex
 from test_complexes import random_complex
-from test_posets import boolean_lattice, random_pure_bounded_poset
+from test_posets import boolean_lattice, boolean_top_first, random_poset, random_pure_bounded_poset
 
 
 # minimal 6-vertex triangulation of the real projective plane
@@ -180,6 +182,50 @@ class TestIntegralHomology:
         s = integral_homology(K)
         assert s.nonzero_dims() == (0,)
         assert s.betti(0) == 1
+
+
+class TestCellComplex:
+    def test_matches_tuple_builder(self):
+        # the chain tree gives the arrays a face-tuple index gives, cell
+        # for cell, also where index order is not a linear extension
+        rng = random.Random(17)
+        posets = [random_poset(rng, rng.randint(1, 9), rng.random()) for _ in range(80)]
+        complexes = [order_complex(shuffled(P, rng)) for P in posets]
+        complexes.append(order_complex(boolean_top_first(4)))
+        complexes += [random_complex(rng) for _ in range(120)]
+        complexes += [empty_complex(), *(simplex_boundary(n) for n in range(1, 8))]
+        for K in complexes:
+            cx, ref = _cell_complex(K), tuple_cell_complex(K)
+            assert cx.sizes == ref.sizes
+            for name in ("boundary", "cofaces", "cof_start"):
+                arrays = getattr(cx, name)
+                assert arrays == getattr(ref, name), (name, K.facets)
+                assert {a.typecode for a in arrays} == {"i"}
+
+    def test_order_complex_homology_lists_no_chain(self, monkeypatch):
+        from posettop import complexes
+        from posettop.constructions import subword
+        homology_module = importlib.import_module("posettop.homology")
+        calls = []
+
+        def spy(name, fn):
+            def called(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return called
+
+        chains = complexes.poset_chains_by_size
+        for module in (complexes, homology_module):
+            monkeypatch.setattr(module, "poset_chains_by_size",
+                                spy("poset_chains_by_size", chains), raising=False)
+        monkeypatch.setattr(SimplicialComplex, "faces_by_dim",
+                            spy("faces_by_dim", SimplicialComplex.faces_by_dim))
+        monkeypatch.setattr(SimplicialComplex, "facets",
+                            property(spy("facets", SimplicialComplex.facets.fget)))
+        K = order_complex(subword(4))
+        assert str(integral_homology(K)) == "H~3 = Z^9 (Z)"
+        assert calls == []
+        assert K._facets is None
 
 
 class TestCascade:

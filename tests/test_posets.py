@@ -4,6 +4,7 @@ import time
 
 import pytest
 
+from posettop.constructions import boolean
 from posettop.posets import (
     Bound,
     ImpurePosetError,
@@ -45,6 +46,13 @@ def boolean_lattice(n):
     covers = [(a, b) for a in labels for b in labels
               if len(b) == len(a) + 1 and set(a) <= set(b)]
     return build_poset(labels, covers)
+
+
+def boolean_top_first(n):
+    """``boolean(n)`` with its labels listed top-first: its index order
+    is not a linear extension."""
+    B = boolean(n)
+    return build_poset(B.labels[::-1], [(B.labels[i], B.labels[j]) for (i, j) in B.covers])
 
 
 def naive_leq(P):
