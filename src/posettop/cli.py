@@ -394,6 +394,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # RuntimeError covers SizeLimitError: a limit is not a verdict
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except MemoryError:  # nor is running out of memory
+        print("error: out of memory", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -12,16 +12,18 @@ condition: torsion-free homology concentrated in top dimension for
 every interval.  Reports label this mode "Z-spherical" to keep the
 distinction honest.
 
-Most intervals are decided without a homology computation.  The element
-matching taken from the top down of a linear extension leaves critical
-chains whose count per dimension fixes the integral homology whenever no
-two of them sit in adjacent dimensions (``homology._critical_chains``):
-the homology is then free, one generator per critical chain.  On a CM
-interval they all sit in dimension ``gap - 2``.  Only an interval whose
-critical chains touch adjacent dimensions goes to the homology engine,
-``integral_homology`` of its order complex, which fixes torsion and the
-failure text.  ``_interval_homology`` is that step; the Koszul test of
-``semigroups`` and ``is_acyclic_over`` use it too.
+Most intervals are decided from the sizes of their critical chains
+alone.  The element matching taken from the top down of a linear
+extension leaves critical chains (``homology._critical_chains``) with
+the interval's homology.  When every one of them sits in dimension
+``gap - 2`` (there may be none), that homology is free and concentrated
+in dimension ``gap - 2``, so the interval passes in every mode and no
+homology summary is built.  Any other interval goes to
+``_interval_homology``: its critical chains fix the integral homology
+when no two of them sit in adjacent dimensions (free, one generator per
+chain), and otherwise the homology engine, ``integral_homology`` of its
+order complex, fixes torsion and the failure text.  The Koszul test of
+``semigroups`` and ``is_acyclic_over`` take the same two steps.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from typing import Optional, Sequence, Union
 from .complexes import order_complex
 from .homology import (
     HomologySummary,
+    _chains_in_dim,
     _critical_chains,
     _morse_summary,
     field_name,
@@ -110,15 +113,17 @@ def _interval_items(P: Poset):
     """Integral homology of every open interval of the bounded extension.
 
     Yields ``(lower, upper, rank_gap, summary)`` in lexicographic index
-    order.  ``summary`` is ``None`` for rank gaps 1 and 2, and those
-    intervals are not built: in a pure poset the open interval of a cover
-    pair is empty, and that of a gap-2 pair is a nonempty antichain whose
-    only reduced homology, the free group H~0, sits in dimension
-    ``gap - 2``.  Both pass in every mode.
+    order.  ``summary`` is ``None`` for an interval that passes in every
+    mode, because its reduced homology is free and sits in dimension
+    ``gap - 2`` only; no such interval is built.  In a pure poset these
+    are the intervals of rank gaps 1 and 2 (empty, and a nonempty
+    antichain with its free H~0), and every interval whose critical
+    chains all sit in dimension ``gap - 2``, or which has none.
 
-    For the other intervals one top-down pass per upper element finds the
-    critical chains of every interval below it (``_critical_chains``), and
-    ``_interval_homology`` turns them into the interval's homology.
+    One top-down pass per upper element of rank 3 and up finds the
+    critical chains of every interval below it (``_critical_chains``).
+    Only an interval with a critical chain of another size goes to
+    ``_interval_homology``.
     """
     A = augment(P)
     info = rank_info(A)
@@ -132,7 +137,7 @@ def _interval_items(P: Poset):
         if rank[j] < 3:
             continue
         for i, chains in _critical_chains(A, j).items():
-            if rank[j] - rank[i] > 2:
+            if not _chains_in_dim(chains, rank[j] - rank[i] - 2):
                 summaries[i, j] = _interval_homology(A, i, j, chains)
     for i in range(n):
         for j in iter_bits(above[i]):
@@ -144,9 +149,10 @@ def _interval_homology(A: Poset, i: int, j: int, chains) -> HomologySummary:
     """Integral reduced homology of the open interval between the indices
     ``i < j`` of ``A``, given its critical chains ``_critical_chains(A, j)[i]``.
 
-    The critical chains decide it unless two of them sit in adjacent
-    dimensions; then the interval is built and its order complex goes to
-    the homology engine.
+    The sweeps call it only where the chain sizes alone do not decide the
+    interval (``homology._chains_in_dim``).  The critical chains fix the
+    homology unless two of them sit in adjacent dimensions; then the
+    interval is built and its order complex goes to the homology engine.
     """
     summary = _morse_summary(chains)
     if summary is None:
@@ -161,8 +167,8 @@ def _summary_violations(summary: Optional[HomologySummary], gap: int, coeffs):
 
     ``coeffs`` is a parsed selector: ``"Z"`` is the spherical mode, which
     also rejects torsion in dimension ``gap - 2``.  ``summary`` is ``None``
-    for an interval of a pure poset with rank gap 1 or 2, which passes
-    without a homology computation.
+    for an interval that ``_interval_items`` decided from its critical
+    chain sizes; it passes.
     """
     d = gap - 2
     if summary is None:
@@ -225,14 +231,18 @@ def is_acyclic_over(P: Poset, coeffs: CoeffSpec) -> bool:
     """All reduced homology of the order complex vanishes over the field.
 
     No critical chain of the interval (0^, 1^) of ``augment(P)`` means
-    acyclic; critical chains in no two adjacent dimensions mean free
-    homology, so not acyclic over any field.  Otherwise the homology
-    engine decides.
+    acyclic; critical chains all of one size, or more generally in no two
+    adjacent dimensions, mean free nonzero homology, so not acyclic over
+    any field.  Otherwise the homology engine decides.
     """
     mode = parse_coefficients(coeffs)
     A = augment(P)
     top = len(A) - 1
-    summary = _interval_homology(A, 0, top, _critical_chains(A, top)[0])
+    chains = _critical_chains(A, top)[0]
+    sizes = set(map(int.bit_count, chains))
+    if len(sizes) < 2:
+        return not sizes
+    summary = _interval_homology(A, 0, top, chains)
     if mode != "Z":
         summary = summary.over_field(mode)
     return summary.is_trivial()

@@ -72,7 +72,10 @@ def _field(f: FieldSpec):
 
 
 def field_name(f: FieldSpec) -> str:
-    f = _field(f)
+    return _field_label(_field(f))
+
+
+def _field_label(f) -> str:  # f is "Q" or a prime
     return "Q" if f == "Q" else f"GF({f})"
 
 
@@ -145,24 +148,25 @@ class HomologySummary:
         over GF(p) the free rank plus the p-torsion of this dimension
         and the one below.
         """
-        if self.coefficients != "Z":
-            raise ValueError("field_betti needs an integral summary")
-        f = _field(f)
-        b = self.betti(i)
-        if f == "Q":
-            return b
-        tp = sum(1 for d in self.torsion(i) if d % f == 0)
-        tp_below = sum(1 for d in self.torsion(i - 1) if d % f == 0)
-        return b + tp + tp_below
+        return self.over_field(f).betti(i)
 
     def over_field(self, f: FieldSpec) -> "HomologySummary":
-        """Field-coefficient summary derived from an integral one.
+        """Field-coefficient summary derived from an integral one, with
+        ``field_betti`` in each dimension.
 
         The p-torsion of the top listed dimension adds a class one
         dimension above it, so the range runs one past ``groups``.
         """
-        groups = {i: (self.field_betti(i, f), ()) for i in range(len(self.groups) + 1)}
-        return make_summary(field_name(f), groups, self.empty_complex)
+        if self.coefficients != "Z":
+            raise ValueError("field_betti needs an integral summary")
+        f = _field(f)
+        groups = {}
+        for i in range(len(self.groups) + 1):
+            b = self.betti(i)
+            if f != "Q":
+                b += sum(1 for d in self.torsion(i) + self.torsion(i - 1) if d % f == 0)
+            groups[i] = (b, ())
+        return make_summary(_field_label(f), groups, self.empty_complex)
 
 
 def summary_to_data(s: HomologySummary) -> dict:
@@ -213,22 +217,37 @@ def _critical_chains(P: Poset, y: int) -> dict[int, set[int]]:
         W = {()}; for w in (z, y), descending: M = W & C; W = (W - M) | w.(C - M)
 
     One pass over the ``z < y`` from the top down computes each ``C``
-    before it is needed.  No chain list of an interval is ever built.
+    before it is needed.  A ``w`` with no critical chain changes nothing,
+    so the inner loop runs only over ``live``, the processed elements with
+    one.  No chain list of an interval is ever built.
     """
-    pos = {v: k for k, v in enumerate(P.topo_order())}
+    pos = {v: k for k, v in enumerate(P.topo_order())}.__getitem__
     above = P.above_masks()
-    below_y = P.below_masks()[y]
     crit: dict[int, set[int]] = {}
-    for z in sorted(iter_bits(below_y), key=pos.__getitem__, reverse=True):
+    live = 0
+    for z in sorted(iter_bits(P.below_masks()[y]), key=pos, reverse=True):
         W = {0}
-        for w in sorted(iter_bits(above[z] & below_y), key=pos.__getitem__, reverse=True):
+        for w in sorted(iter_bits(above[z] & live), key=pos, reverse=True):
             C = crit[w]
             M = W & C
-            W -= M
-            bit = 1 << w
-            W.update(u | bit for u in C - M)
+            if M:
+                W -= M
+                C = C - M
+            W.update(map((1 << w).__or__, C))
         crit[z] = W
+        if W:
+            live |= 1 << z
     return crit
+
+
+def _chains_in_dim(chains, d: int) -> bool:
+    """True iff every chain sits in dimension ``d`` (has ``d + 1``
+    elements), which holds when there is none.
+
+    The critical chains of an acyclic matching then give free homology
+    concentrated in dimension ``d``, with no Morse boundary to compute.
+    """
+    return all(map((d + 1).__eq__, map(int.bit_count, chains)))
 
 
 def _morse_summary(chains) -> Optional[HomologySummary]:

@@ -25,7 +25,7 @@ from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from .cohen_macaulay import _interval_homology, _summary_violations, cm_coefficient_name
-from .homology import _critical_chains, parse_coefficients
+from .homology import _chains_in_dim, _critical_chains, parse_coefficients
 from .posets import Poset, SizeLimitError, dual, induced_subposet
 
 DEFAULT_LAYER_CAP = 200_000
@@ -249,8 +249,9 @@ class KoszulReport:
     generator has degree one.  This is a necessary condition only; no
     finite bound certifies Koszulness.  ``homology_runs`` counts the
     intervals whose homology was determined: those below elements of
-    degree 3 and up, whether their critical chains certified it or the
-    homology engine computed it.
+    degree 3 and up, whether their critical-chain sizes decided them,
+    their critical chains certified the homology or the homology engine
+    computed it.
     """
 
     passed: bool
@@ -280,11 +281,12 @@ def koszul_necessary_test(S: HomogeneousSemigroup, max_rank: int,
     degree ``m``.  Every generator has degree one, so a cover adds one
     generator and [0, x] is graded by degree: the interval is pure, and
     for ``m >= 2`` nonempty, so neither needs a check.  A degree-2
-    interval is an antichain and passes without a homology computation;
-    every other interval's homology comes from its critical chains, or
-    from the homology engine where two of them sit in adjacent dimensions.
+    interval is an antichain and passes without a homology computation.
     One pass of ``_critical_chains`` over the dual poset, where (0, x) is
-    (x, 0), gives the critical chains of every (0, x) at once.
+    (x, 0), gives the critical chains of every (0, x) at once.  An
+    interval whose critical chains all sit in dimension ``m - 2`` has
+    free homology there only and passes without a homology summary; any
+    other goes to ``_interval_homology`` and the sweep's rule.
     """
     if max_rank < 2:
         raise SemigroupError("need max_rank >= 2")
@@ -293,16 +295,15 @@ def koszul_necessary_test(S: HomogeneousSemigroup, max_rank: int,
     layers = S.enumerate_up_to(max_rank)
     T = _divisibility_poset(S, [x for layer in layers for x in layer])
     crit = _critical_chains(dual(T), 0)  # index 0 is the zero element
-    checked = runs = 0
-    for m in range(2, max_rank + 1):
+    checked, runs = len(layers[2]), 0
+    for m in range(3, max_rank + 1):
         for lam in layers[m]:
             checked += 1
-            summary = None
-            if m > 2:
-                j = T.index(lam)
-                summary = _interval_homology(T, 0, j, crit[j])
-                runs += 1
-            bad = _summary_violations(summary, m, mode)
+            runs += 1
+            j = T.index(lam)
+            if _chains_in_dim(crit[j], m - 2):
+                continue
+            bad = _summary_violations(_interval_homology(T, 0, j, crit[j]), m, mode)
             if bad:
                 return KoszulReport(False, max_rank, name, witness=(lam, "; ".join(bad)),
                                     elements_checked=checked, homology_runs=runs)

@@ -8,6 +8,8 @@ over Q and modular elimination over GF(p); ``snf_homology`` takes the
 Smith normal form of every boundary matrix.  ``tuple_cell_complex``
 builds the engine's cell arrays from face tuples and a dict index of
 each layer, without the chain tree's index arithmetic.
+``reference_critical_chains`` runs the critical-chain recursion over
+every element of each interval, critical chains or none.
 """
 
 from array import array
@@ -23,6 +25,7 @@ from posettop.homology import (
     make_summary,
 )
 from posettop.intmatrix import rank_mod_p, rank_over_rationals, smith_normal_form
+from posettop.posets import iter_bits
 
 
 def elimination_betti(K, f="Q") -> HomologySummary:
@@ -87,3 +90,23 @@ def tuple_cell_complex(K) -> SimpleNamespace:
         cofaces.append(data)
         cof_start.append(start)
     return SimpleNamespace(sizes=sizes, boundary=boundary, cofaces=cofaces, cof_start=cof_start)
+
+
+def reference_critical_chains(P, y) -> dict:
+    """``homology._critical_chains(P, y)``: the recursion
+    ``M = W & C; W = (W - M) | w.(C - M)`` over every ``w`` of ``(z, y)``,
+    in decreasing ``P.topo_order()`` position."""
+    pos = {v: k for k, v in enumerate(P.topo_order())}
+    above = P.above_masks()
+    below_y = P.below_masks()[y]
+    crit = {}
+    for z in sorted(iter_bits(below_y), key=pos.__getitem__, reverse=True):
+        W = {0}
+        for w in sorted(iter_bits(above[z] & below_y), key=pos.__getitem__, reverse=True):
+            C = crit[w]
+            M = W & C
+            W -= M
+            bit = 1 << w
+            W.update(u | bit for u in C - M)
+        crit[z] = W
+    return crit

@@ -285,6 +285,17 @@ class TestErrors:
         assert code == 2
         assert err == "error: layer 2 has 15 elements, cap is 10\n"
 
+    def test_out_of_memory_is_exit_2(self, capsys, monkeypatch):
+        # exit 1 would read as a failed check, so a MemoryError is a limit
+        def exhausted(args):
+            raise MemoryError
+        monkeypatch.setitem(cli._HANDLERS, "cm", exhausted)
+        code = main(["cm", "p.json"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == "error: out of memory\n"
+        assert captured.out == ""
+
 
 class TestMaxNCap:
     def test_global_cap(self, capsys):

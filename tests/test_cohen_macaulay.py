@@ -150,6 +150,22 @@ class TestIsCMPoset:
         assert is_cm_poset(boolean(4), "z-spherical").verdict
         assert computed == []
 
+    def test_chain_sizes_decide_cm_intervals(self, monkeypatch):
+        # every critical chain of an interval of B5 sits in its top
+        # dimension, so no interval needs a homology summary
+        calls = []
+
+        def spy(name, fn):
+            def traced(*args):
+                calls.append(name)
+                return fn(*args)
+            return traced
+        for name in ("_interval_homology", "_morse_summary"):
+            monkeypatch.setattr(cohen_macaulay, name, spy(name, getattr(cohen_macaulay, name)))
+        for f in ("Q", 2, "z-spherical"):
+            assert is_cm_poset(boolean(5), f).verdict
+        assert calls == []
+
     def test_large_verdicts(self):
         assert is_cm_poset(boolean(7), "Q").verdict
         assert is_cm_poset(subword(5), "Z").verdict

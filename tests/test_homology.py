@@ -18,6 +18,7 @@ from posettop.homology import (
     HomologySummary,
     _cascade,
     _cell_complex,
+    _chains_in_dim,
     _critical_chains,
     _morse_summary,
     betti,
@@ -32,7 +33,12 @@ from posettop.homology import (
 from posettop.intmatrix import IntegerMatrix
 from posettop.posets import build_poset, iter_bits, mobius, open_interval
 
-from homology_oracle import elimination_betti, snf_homology, tuple_cell_complex
+from homology_oracle import (
+    elimination_betti,
+    reference_critical_chains,
+    snf_homology,
+    tuple_cell_complex,
+)
 from test_complexes import random_complex
 from test_posets import boolean_lattice, boolean_top_first, random_poset, random_pure_bounded_poset
 
@@ -163,6 +169,24 @@ class TestIntegralHomology:
         assert over2.nonzero_dims() == (1, 2)
         assert str(over2) == "H~1 = GF(2), H~2 = GF(2) (GF(2))"
         assert z.over_field(3).is_trivial()
+
+    def test_over_field_parses_its_field_once(self, monkeypatch):
+        homology_module = importlib.import_module("posettop.homology")
+        calls = []
+
+        def spy(c):
+            calls.append(c)
+            return parse_coefficients(c)
+        monkeypatch.setattr(homology_module, "parse_coefficients", spy)
+        z = make_summary("Z", {0: (1, (2,)), 3: (2, (2, 6)), 5: (0, (3,))})
+        assert str(z.over_field("gf:2")) == (
+            "H~0 = GF(2)^2, H~1 = GF(2), H~3 = GF(2)^4, H~4 = GF(2)^2 (GF(2))")
+        assert calls == ["gf:2"]
+        assert [z.field_betti(i, 3) for i in range(-1, 8)] == [0, 1, 0, 0, 3, 1, 1, 1, 0]
+        with pytest.raises(ValueError, match="needs an integral summary"):
+            z.over_field("Q").field_betti(0, "Q")
+        with pytest.raises(ValueError, match="Z is not a field"):
+            z.field_betti(0, "z")
 
     def test_many_disjoint_projective_planes(self):
         # the cascade leaves 6,179 cells and SNF finds 200 pivots of 2, so
@@ -317,6 +341,17 @@ def shuffled(P, rng):
 
 
 class TestCriticalChains:
+    def test_matches_reference_recursion(self):
+        # skipping the elements without critical chains changes nothing
+        from posettop.complexes import face_poset
+        from posettop.constructions import rees_deranged
+        rng = random.Random(109)
+        posets = [shuffled(random_pure_bounded_poset(rng), rng) for _ in range(40)]
+        posets += [boolean_top_first(4), face_poset(projective_plane()), rees_deranged(3)]
+        for P in posets:
+            for y in range(len(P)):
+                assert _critical_chains(P, y) == reference_critical_chains(P, y)
+
     def test_alternating_count_is_mobius(self):
         # the matching pairs off every chain it leaves uncritical, so the
         # critical chains have the reduced Euler characteristic: mu by Hall
@@ -367,6 +402,23 @@ class TestCriticalChains:
         assert str(_morse_summary([0b1, 0b111, 0b10101])) == "H~0 = Z, H~2 = Z^2 (Z)"
         assert _morse_summary([0]).empty_complex
         assert _morse_summary([]).is_trivial()
+
+    def test_chains_in_dim(self):
+        assert _chains_in_dim([], 3)
+        assert _chains_in_dim({0}, -1)
+        assert _chains_in_dim([0b11, 0b1010, 0b1100], 1)
+        assert not _chains_in_dim([0b11, 0b111], 1)
+        assert not _chains_in_dim([0b111], 1)
+        # where it holds, the certified homology is free in that dimension
+        rng = random.Random(113)
+        for _ in range(20):
+            P = shuffled(random_pure_bounded_poset(rng), rng)
+            for y in range(len(P)):
+                for chains in _critical_chains(P, y).values():
+                    for d in {c.bit_count() - 1 for c in chains}:
+                        if _chains_in_dim(chains, d):
+                            summary = _morse_summary(chains)
+                            assert summary.is_free() and summary.concentrated_in(d)
 
 
 class TestDirectPathOnRealPosets:

@@ -275,6 +275,25 @@ class TestKoszulTest:
         assert rep.passed
         assert rep == reference_koszul(S, 4, "Q")
 
+    def test_chain_sizes_decide_free_semigroup_intervals(self, monkeypatch):
+        calls = []
+
+        def spy(name, fn):
+            def traced(*args):
+                calls.append(name)
+                return fn(*args)
+            return traced
+        for module, name in ((semigroups, "_interval_homology"),
+                             (cohen_macaulay, "_morse_summary")):
+            monkeypatch.setattr(module, name, spy(name, getattr(module, name)))
+        rep = koszul_necessary_test(natural_semigroup(3), 4)
+        assert calls == []
+        # the counts are those of the sweep that summarised every interval
+        assert (rep.passed, rep.elements_checked, rep.homology_runs) == (True, 31, 25)
+        for coeffs in ("Q", 2, "z-spherical"):
+            rep = koszul_necessary_test(veronese_semigroup(2, 2), 5, coeffs)
+            assert (rep.passed, rep.elements_checked, rep.homology_runs) == (True, 32, 27)
+
     def test_one_critical_chain_pass_per_test(self, monkeypatch):
         calls = []
 
