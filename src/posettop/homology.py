@@ -7,13 +7,15 @@ One engine computes every answer.  It lays the faces out on the chain
 tree, where a cell is its parent (the cell without its last vertex) plus
 one vertex, so each boundary is index arithmetic on the parent's and no
 face tuple or face index is ever built (``_CellComplex``).  It then
-shrinks the complex by repeatedly cancelling a cell pair whose incidence
-is the unique one of a cell (a homology-preserving deletion that never
-changes coefficients) and runs exact Smith normal form on what is left.
-The integral groups fix the homology over every field by the universal
-coefficient theorem, so ``betti`` derives field Betti numbers from them
-(``HomologySummary.over_field``).  The dense field ranks of ``intmatrix``
-stay the independent reference the test suite checks this engine against.
+shrinks the complex by coreductions, each removing a cell with exactly
+one live facet together with that facet (a homology-preserving deletion
+that leaves the boundary between the other cells as it is), in sweeps
+that read only facets (``_cascade``), and runs exact Smith normal form
+on what is left.  The integral groups fix the homology over every field
+by the universal coefficient theorem, so ``betti`` derives field Betti
+numbers from them (``HomologySummary.over_field``).  The dense field
+ranks of ``intmatrix`` stay the independent reference the test suite
+checks this engine against.
 
 The interval sweeps mostly skip the engine: ``_critical_chains`` gives
 the critical chains of poset intervals under an acyclic element matching,
@@ -24,11 +26,11 @@ adjacent dimensions.
 from __future__ import annotations
 
 from array import array
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate, compress, count
-from operator import sub
+from itertools import compress, count
 from typing import Mapping, Optional, Sequence, Union
+from weakref import WeakValueDictionary
 
 from .complexes import ComplexError, SimplicialComplex
 from .intmatrix import IntegerMatrix, _snf_divisors, is_prime
@@ -180,8 +182,14 @@ def summary_to_data(s: HomologySummary) -> dict:
     return out
 
 
+# every live summary, by its fields: equal answers share one object
+_summaries: WeakValueDictionary = WeakValueDictionary()
+
+
 def make_summary(coefficients: str, groups: Mapping[int, tuple[int, Sequence[int]]],
                  empty_complex: bool = False) -> HomologySummary:
+    """The summary with these groups; an equal one still alive elsewhere is
+    returned instead of a new copy."""
     top = max(groups, default=-1)
     data = []
     for i in range(top + 1):
@@ -189,7 +197,11 @@ def make_summary(coefficients: str, groups: Mapping[int, tuple[int, Sequence[int
         data.append((b, tuple(t)))
     while data and data[-1] == (0, ()):
         data.pop()
-    return HomologySummary(coefficients, tuple(data), empty_complex)
+    key = (coefficients, tuple(data), empty_complex)
+    summary = _summaries.get(key)
+    if summary is None:
+        summary = _summaries[key] = HomologySummary(*key)
+    return summary
 
 
 # -- critical chains of poset intervals ------------------------------------
@@ -261,7 +273,7 @@ def _morse_summary(chains) -> Optional[HomologySummary]:
     if any(d + 1 in counts for d in counts):
         return None
     if -1 in counts:
-        return HomologySummary("Z", (), empty_complex=True)
+        return make_summary("Z", {}, empty_complex=True)
     return make_summary("Z", {d: (c, ()) for d, c in counts.items()})
 
 
@@ -318,13 +330,11 @@ class _CellComplex:
     indices of each layer-k cell's k facets, the t-th dropping the t-th
     vertex, with sign (-1)^t.  Dropping the last vertex gives the parent;
     dropping an earlier one gives the child at j of the parent's facet
-    that drops it, so no face is ever looked up.  ``cofaces[k]`` holds each
-    layer-k cell's cofaces in layer k + 1, cell i's from
-    ``cof_start[k][i]`` to ``cof_start[k][i + 1]``.  Every array holds
-    4-byte ints.
+    that drops it, so no face is ever looked up.  Every array holds 4-byte
+    ints, and no coface index is kept: the reduction reads facets only.
     """
 
-    __slots__ = ("sizes", "boundary", "cofaces", "cof_start")
+    __slots__ = ("sizes", "boundary")
 
     def __init__(self, nv: int, root: int, grow):
         # A cell's key is an int whose bits below nv are its up-mask (the
@@ -355,22 +365,6 @@ class _CellComplex:
             self.sizes.append(len(nxt))
             self.boundary.append(bnd)
             first, prev, keys = starts, keys, nxt
-        del first, prev, keys, nxt
-        self.cofaces = []
-        self.cof_start = []
-        for k, n in enumerate(self.sizes):  # counting sort of boundary[k + 1]
-            higher = self.boundary[k + 1] if k + 1 < len(self.sizes) else ()
-            fill = [0] * (n + 1)
-            for r in higher:
-                fill[r + 1] += 1
-            start = array("i", accumulate(fill))
-            fill = list(start)
-            data = array("i", bytes(4 * start[n]))
-            for t, r in enumerate(higher):
-                data[fill[r]] = t // (k + 1)
-                fill[r] += 1
-            self.cofaces.append(data)
-            self.cof_start.append(start)
 
     @property
     def counts(self) -> list[int]:  # nonempty cells per dimension
@@ -407,59 +401,33 @@ def _cell_complex(K: SimplicialComplex) -> _CellComplex:
 
 
 def _cascade(cx: _CellComplex) -> list[bytearray]:
-    """Cancel unique-incidence cell pairs until none remain.
+    """Coreduce the complex until no coreduction is left.
 
     Returns one bytearray of alive flags per layer, so ``alive[0]`` is the
-    empty face.  A live cell with one live facet is removed with it (a
-    collapse), and one with one live coface with that coface (a
-    coreduction); neither changes the homology.
+    empty face.  A live cell j with exactly one live facet i is removed
+    together with i: a coreduction (Mrozek and Batko, *Coreduction
+    homology algorithm*, Discrete Comput. Geom. 41, 2009).  Among the live
+    cells the boundary of j is then +-i, so the pair cancels without
+    changing the homology or the boundary maps between the cells that
+    stay, and only facets are ever read.  Each sweep walks the layers
+    upward and the live cells of each in index order; sweeps repeat until
+    one removes nothing.
     """
     alive = [bytearray([1]) * n for n in cx.sizes]
-    bdeg = [array("i", [k]) * n for k, n in enumerate(cx.sizes)]  # live facets
-    cdeg = [array("i", map(sub, s[1:], s)) for s in cx.cof_start]  # live cofaces
-
-    def facets(k, i):
-        return cx.boundary[k][i * k:i * k + k]
-
-    def cofaces(k, i):
-        s = cx.cof_start[k]
-        return cx.cofaces[k][s[i]:s[i + 1]]
-
-    def first_live(cells, k):
-        flags = alive[k]
-        for j in cells:
-            if flags[j]:
-                return j
-
-    def lose(cells, k, deg):
-        # each live cell of layer k in ``cells`` loses one live neighbour
-        flags, d = alive[k], deg[k]
-        for j in cells:
-            if flags[j]:
-                d[j] -= 1
-                if d[j] == 1:
-                    queue.append((k, j))
-
-    queue = deque((k, i) for k, n in enumerate(cx.sizes) for i in range(n)
-                  if bdeg[k][i] == 1 or cdeg[k][i] == 1)
-    while queue:
-        k, i = queue.popleft()
-        if not alive[k][i]:
-            continue
-        if bdeg[k][i] == 1:
-            k, j = k - 1, i
-            i = first_live(facets(k + 1, j), k)
-        elif cdeg[k][i] == 1:
-            j = first_live(cofaces(k, i), k + 1)
-        else:
-            continue
-        # cancel cell j of layer k + 1 with its facet i of layer k
-        alive[k + 1][j] = alive[k][i] = 0
-        if k + 2 < len(alive):  # no layer above the top one
-            lose(cofaces(k + 1, j), k + 2, bdeg)
-        lose(cofaces(k, i), k + 1, bdeg)
-        lose(facets(k + 1, j), k, cdeg)
-        lose(facets(k, i), k - 1, cdeg)
+    removed = True
+    while removed:
+        removed = False
+        for k in range(1, len(alive)):
+            flags, below, bnd = alive[k], alive[k - 1], cx.boundary[k]
+            live = below.__getitem__
+            j = flags.find(1)
+            while j >= 0:
+                facets = filter(live, bnd[j * k:j * k + k])
+                i = next(facets, -1)
+                if i >= 0 and next(facets, -1) < 0:  # i is the one live facet
+                    flags[j] = below[i] = 0
+                    removed = True
+                j = flags.find(1, j + 1)
     return alive
 
 

@@ -13,7 +13,6 @@ every element of each interval, critical chains or none.
 """
 
 from array import array
-from itertools import accumulate
 from types import SimpleNamespace
 
 from posettop.complexes import poset_chains_by_size
@@ -60,9 +59,8 @@ def snf_homology(K) -> HomologySummary:
 
 
 def tuple_cell_complex(K) -> SimpleNamespace:
-    """``sizes``, ``boundary``, ``cofaces`` and ``cof_start`` of the
-    engine's cell complex, built by looking each facet tuple up in a dict
-    of the layer below."""
+    """``sizes`` and ``boundary`` of the engine's cell complex, built by
+    looking each facet tuple up in a dict of the layer below."""
     P = K.source_poset
     layers = [[()], *(K.faces_by_dim() if P is None else poset_chains_by_size(P))]
     sizes = [len(layer) for layer in layers]
@@ -75,21 +73,7 @@ def tuple_cell_complex(K) -> SimpleNamespace:
                 bnd.append(index[f[:drop] + f[drop + 1:]])
         boundary.append(bnd)
         index = {f: i for i, f in enumerate(layer)}
-    cofaces, cof_start = [], []
-    for k, n in enumerate(sizes):
-        up = boundary[k + 1] if k + 1 < len(sizes) else ()
-        start = array("i", [0]) * (n + 1)
-        for r in up:
-            start[r + 1] += 1
-        start = array("i", accumulate(start))
-        data = array("i", [0]) * start[n]
-        fill = array("i", start)
-        for t, r in enumerate(up):
-            data[fill[r]] = t // (k + 1)
-            fill[r] += 1
-        cofaces.append(data)
-        cof_start.append(start)
-    return SimpleNamespace(sizes=sizes, boundary=boundary, cofaces=cofaces, cof_start=cof_start)
+    return SimpleNamespace(sizes=sizes, boundary=boundary)
 
 
 def reference_critical_chains(P, y) -> dict:

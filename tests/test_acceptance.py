@@ -2,7 +2,7 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 The shared verification report computes the full evidence battery once
-(the n = 6 table row dominates; the report took 49-59 s single-threaded on
+(the n = 6 table row dominates; the report took 23-24 s single-threaded on
 a 2-core Intel Xeon host with Python 3.11, and POSETTOP_THREADS can
 parallelize the heavy cells).
 """
