@@ -6,12 +6,14 @@ ordinary cell (dimension -1), so every Betti number here is reduced.
 One engine computes every answer.  It lays the faces out on the chain
 tree, where a cell is its parent (the cell without its last vertex) plus
 one vertex, so each boundary is index arithmetic on the parent's and no
-face tuple or face index is ever built (``_CellComplex``).  It then
-shrinks the complex by coreductions, each removing a cell with exactly
-one live facet together with that facet (a homology-preserving deletion
-that leaves the boundary between the other cells as it is), in sweeps
-that read only facets (``_cascade``), and runs exact Smith normal form
-on what is left.  The integral groups fix the homology over every field
+face tuple or face index is ever built; a layer is written one boundary
+column at a time, over blocks of parents, with a rank lookup in only one
+column of an order complex (``_CellComplex``).  It then shrinks the
+complex by coreductions, each removing a cell with exactly one live
+facet together with that facet (a homology-preserving deletion that
+leaves the boundary between the other cells as it is), in sweeps that
+read only facets (``_cascade``), and runs exact Smith normal form on
+what is left.  The integral groups fix the homology over every field
 by the universal coefficient theorem, so ``betti`` derives field Betti
 numbers from them (``HomologySummary.over_field``).  The dense field
 ranks of ``intmatrix`` stay the independent reference the test suite
@@ -28,7 +30,8 @@ from __future__ import annotations
 from array import array
 from collections import Counter
 from dataclasses import dataclass
-from itertools import compress, count
+from itertools import accumulate, chain, compress, count, repeat
+from operator import add
 from typing import Mapping, Optional, Sequence, Union
 from weakref import WeakValueDictionary
 
@@ -233,7 +236,7 @@ def _critical_chains(P: Poset, y: int) -> dict[int, set[int]]:
     so the inner loop runs only over ``live``, the processed elements with
     one.  No chain list of an interval is ever built.
     """
-    pos = {v: k for k, v in enumerate(P.topo_order())}.__getitem__
+    pos = P.topo_positions().__getitem__
     above = P.above_masks()
     crit: dict[int, set[int]] = {}
     live = 0
@@ -313,6 +316,9 @@ def check_chain_complex(mats: Sequence[IntegerMatrix]) -> bool:
 # -- integral homology (reduction + Smith normal form) --------------------
 
 
+_BLOCK = 4096  # parents per block of a layer build: bounds the temporary lists
+
+
 class _CellComplex:
     """Flat cell storage for the augmented chain complex, laid out on the
     chain tree.
@@ -322,49 +328,67 @@ class _CellComplex:
     is the set of vertices that extend it at the end: ``above`` of its top
     element for a chain, the later vertices of a facet through it
     otherwise.  A layer-(k+1) cell is a layer-k cell p (its parent) plus a
-    vertex j of p's up-mask; the children of each parent follow those of
-    the one before, in increasing j, so a child's index is its parent's
-    first child plus the number of up-mask bits below j.  A cell's vertex
+    vertex j of p's up-mask, in parent order, then increasing j, so its
+    index is p's first child plus j's rank in the up-mask.  A cell's vertex
     order is the order they were added (position order for chains, index
     order otherwise), and ``boundary[k]`` concatenates the layer-(k-1)
     indices of each layer-k cell's k facets, the t-th dropping the t-th
-    vertex, with sign (-1)^t.  Dropping the last vertex gives the parent;
-    dropping an earlier one gives the child at j of the parent's facet
-    that drops it, so no face is ever looked up.  Every array holds 4-byte
-    ints, and no coface index is kept: the reduction reads facets only.
+    vertex, with sign (-1)^t.  Arrays hold 4-byte ints; no coface index is
+    kept, as the reduction reads facets only.
+
+    Layer k + 1 is written a column at a time, by extended-slice assignment
+    (``boundary[k + 1][t::k + 1]``).  The facet of ``p + j`` dropping p's
+    t-th vertex is the child at j of p's t-th facet q: ``first[q]`` plus j's
+    rank in q's up-mask.  The last column is p.  In an order complex every
+    q but the last keeps p's top vertex, hence p's up-mask, so j's rank is
+    its rank among p's children; only the last q's rank is read from a
+    ``{j: rank}`` dict per up-mask (an explicit complex reads it for every
+    q).  Columns are ``map`` pipelines over ``_BLOCK`` parents at a time,
+    so no temporary list spans a layer.
     """
 
     __slots__ = ("sizes", "boundary")
 
-    def __init__(self, nv: int, root: int, grow):
-        # A cell's key is an int whose bits below nv are its up-mask (the
-        # bits above are the caller's); ``root`` is the empty face's key and
-        # ``grow(key, j)`` the key of the child at vertex j.
-        below = [(1 << j) - 1 for j in range(nv)]
-        vmask = (1 << nv) - 1
+    def __init__(self, verts, kids, root: int, by_top: bool):
+        # A cell's state s stands for its up-mask: verts[s] lists its vertices
+        # in increasing order and kids[s] the states of the children at them.
+        # ``by_top``: a chain's state is its top vertex (an order complex).
+        rank = [dict(zip(v, count())) for v in verts]
+        nkids = list(map(len, verts))
         self.sizes = [1]
         self.boundary = [array("i")]
-        first = prev = None  # first child and key of each layer-(k-1) cell
-        keys = [root]
+        states, prev_first, prev_states = array("i", [root]), None, None
         for k in count():
-            bnd_k, bnd = self.boundary[k], array("i")
-            starts, nxt = array("i"), []
-            for p, key in enumerate(keys):
-                starts.append(len(nxt))
-                up = key & vmask
-                if not up:
-                    continue
-                facets = bnd_k[p * k:p * k + k]
-                for j in iter_bits(up):
-                    low = below[j]
-                    bnd.extend([first[q] + (prev[q] & low).bit_count() for q in facets])
-                    bnd.append(p)
-                    nxt.append(grow(key, j))
-            if not nxt:
+            first = array("i", accumulate(map(nkids.__getitem__, states), initial=0))
+            if not first[-1]:
                 break
-            self.sizes.append(len(nxt))
+            rows, width = self.boundary[k], k + 1
+            bnd, nxt = array("i", [0]) * (first[-1] * width), array("i")
+            for a in range(0, len(states), _BLOCK):
+                S = states[a:a + _BLOCK]
+                b = a + len(S)
+                M = list(map(nkids.__getitem__, S))
+                B = list(compress(range(a, b), M))  # the parents with a child
+                P = list(chain.from_iterable(map(repeat, range(len(B)), filter(None, M))))
+                R = list(chain.from_iterable(map(range, filter(None, M))))
+                J = list(chain.from_iterable(map(verts.__getitem__, S)))
+                # child c: parent B[P[c]], vertex J[c], of rank R[c] in the parent's up-mask
+                lo, hi = first[a] * width, first[b] * width
+                for t in range(k):
+                    Q = rows[a * k + t:b * k:k]  # facet t of each parent
+                    F = list(map(prev_first.__getitem__, compress(Q, M)))
+                    if by_top and t < k - 1:  # the facet keeps the parent's up-mask
+                        col = map(add, map(F.__getitem__, P), R)
+                    else:
+                        D = list(map(rank.__getitem__, map(prev_states.__getitem__, compress(Q, M))))
+                        col = map(add, map(F.__getitem__, P),
+                                  map(dict.__getitem__, map(D.__getitem__, P), J))
+                    bnd[lo + t:hi:width] = array("i", col)
+                bnd[lo + k:hi:width] = array("i", map(B.__getitem__, P))
+                nxt.extend(J if by_top else chain.from_iterable(map(kids.__getitem__, S)))
+            self.sizes.append(first[-1])
             self.boundary.append(bnd)
-            first, prev, keys = starts, keys, nxt
+            prev_first, prev_states, states = first, states, nxt
 
     @property
     def counts(self) -> list[int]:  # nonempty cells per dimension
@@ -372,13 +396,16 @@ class _CellComplex:
 
 
 def _cell_complex(K: SimplicialComplex) -> _CellComplex:
-    """The chain tree of ``K``'s faces: an order complex's up-masks are
-    its poset's ``above`` masks; an explicit complex's key carries, above
-    the vertex bits, the set of facets through the cell."""
+    """The chain tree of ``K``'s faces.  An order complex's states are its
+    vertices, plus one for the empty face; an explicit complex's are the
+    distinct keys of its cells, ints whose bits below the vertex count are
+    the up-mask and whose bits above are the facets through the cell."""
     P = K.source_poset
     if P is not None:
-        above = P.above_masks()
-        return _CellComplex(len(above), (1 << len(above)) - 1, lambda key, j: above[j])
+        nv = len(P)
+        verts = [list(iter_bits(m)) for m in P.above_masks()]
+        verts.append(list(range(nv)))
+        return _CellComplex(verts, verts, nv, True)
     nv = len(K.vertices)
     spans = []  # vertex mask of each facet
     through = [0] * nv  # facets through each vertex, as key bits
@@ -389,15 +416,21 @@ def _cell_complex(K: SimplicialComplex) -> _CellComplex:
         root |= bit | spans[b]
         for v in f:
             through[v] |= bit
-
-    def grow(key, j):
-        facets = key & through[j]
-        up = 0
-        for b in iter_bits(facets >> nv):
-            up |= spans[b]
-        return facets | (up >> (j + 1) << (j + 1))
-
-    return _CellComplex(nv, root, grow)
+    keys, index, verts, kids = [root], {root: 0}, [], []
+    for key in keys:  # grows as new keys turn up
+        verts.append(list(iter_bits(key & ((1 << nv) - 1))))
+        kids.append([])
+        for j in verts[-1]:
+            facets = key & through[j]
+            up = 0
+            for b in iter_bits(facets >> nv):
+                up |= spans[b]
+            child = facets | (up >> (j + 1) << (j + 1))
+            if child not in index:
+                index[child] = len(keys)
+                keys.append(child)
+            kids[-1].append(index[child])
+    return _CellComplex(verts, kids, 0, False)
 
 
 def _cascade(cx: _CellComplex) -> list[bytearray]:
@@ -411,10 +444,21 @@ def _cascade(cx: _CellComplex) -> list[bytearray]:
     changing the homology or the boundary maps between the cells that
     stay, and only facets are ever read.  Each sweep walks the layers
     upward and the live cells of each in index order; sweeps repeat until
-    one removes nothing.
+    one removes nothing.  A layer loses cells only in its own pass and the
+    next layer's, so the first sweep finds each layer all alive and reads
+    its rows straight from ``boundary[k]``, with no search and no slice.
     """
     alive = [bytearray([1]) * n for n in cx.sizes]
-    removed = True
+    removed = False
+    for k in range(1, len(alive)):  # the first sweep
+        flags, below = alive[k], alive[k - 1]
+        live = below.__getitem__
+        for j, row in enumerate(zip(*[iter(cx.boundary[k])] * k)):
+            facets = filter(live, row)
+            i = next(facets, -1)
+            if i >= 0 and next(facets, -1) < 0:
+                flags[j] = below[i] = 0
+                removed = True
     while removed:
         removed = False
         for k in range(1, len(alive)):

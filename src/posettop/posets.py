@@ -91,6 +91,7 @@ class Poset:
         "_above",
         "_below",
         "_topo",
+        "_topo_pos",
         "_rank_result",
     )
 
@@ -121,6 +122,7 @@ class Poset:
         self._above = None
         self._below = None
         self._topo = None
+        self._topo_pos = None
         self._rank_result = None
         if not _validated:
             self._validate()
@@ -175,6 +177,16 @@ class Poset:
                 raise PosetError(f"cycle in the relation involving: {names}")
             self._topo = tuple(order)
         return self._topo
+
+    def topo_positions(self) -> list[int]:
+        """``topo_positions()[i]`` is the place of index ``i`` in
+        :meth:`topo_order`."""
+        if self._topo_pos is None:
+            pos = [0] * len(self.labels)
+            for k, i in enumerate(self.topo_order()):
+                pos[i] = k
+            self._topo_pos = pos
+        return self._topo_pos
 
     def above_masks(self) -> list[int]:
         """``above_masks()[i]`` has bit ``j`` set iff ``labels[i] < labels[j]``."""

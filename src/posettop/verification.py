@@ -262,7 +262,7 @@ def run_verification(table_max_n: int = 6,
     """Run every verification block and return the combined report.
 
     The default bounds match the documented budget (single-core work,
-    18-26 s measured on a 2-core Intel Xeon host with Python 3.11,
+    14-20 s measured on a 2-core Intel Xeon host with Python 3.11,
     dominated by the n = 6 table row).
     Larger bounds are available behind the explicit arguments.
     """

@@ -2,9 +2,9 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 The shared verification report computes the full evidence battery once
-(the n = 6 table row dominates; the report took 23-24 s single-threaded on
-a 2-core Intel Xeon host with Python 3.11, and POSETTOP_THREADS can
-parallelize the heavy cells).
+(the n = 6 table row dominates; the report took 11.4 s single-threaded in
+one run on a 2-core Intel Xeon host with Python 3.11, and POSETTOP_THREADS
+can parallelize the heavy cells).
 """
 
 import os

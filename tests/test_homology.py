@@ -1,8 +1,12 @@
 import gc
 import importlib
+import os
 import random
+import subprocess
+import sys
 import time
 from itertools import compress
+from pathlib import Path
 
 import pytest
 
@@ -42,6 +46,8 @@ from homology_oracle import (
 )
 from test_complexes import random_complex
 from test_posets import boolean_lattice, boolean_top_first, random_poset, random_pure_bounded_poset
+
+homology_module = importlib.import_module("posettop.homology")
 
 
 # minimal 6-vertex triangulation of the real projective plane
@@ -191,7 +197,6 @@ class TestIntegralHomology:
         assert z.over_field(3).is_trivial()
 
     def test_over_field_parses_its_field_once(self, monkeypatch):
-        homology_module = importlib.import_module("posettop.homology")
         calls = []
 
         def spy(c):
@@ -231,17 +236,55 @@ class TestIntegralHomology:
 class TestCellComplex:
     def test_matches_tuple_builder(self):
         # the chain tree gives the arrays a face-tuple index gives, cell
-        # for cell, also where index order is not a linear extension
-        for K in engine_corpus():
+        # for cell, also where index order is not a linear extension; the
+        # layers of I(5,3) (up to 18,480 cells) span several blocks
+        from posettop.constructions import fiber_ideal
+        extra = [order_complex(fiber_ideal(5, range(1, 6), 3).poset),
+                 order_complex(build_poset([], [])),
+                 order_complex(build_poset(["a"], []))]
+        for K in engine_corpus() + extra:
             cx, ref = _cell_complex(K), tuple_cell_complex(K)
             assert cx.sizes == ref.sizes
             assert cx.boundary == ref.boundary, K.facets
             assert {a.typecode for a in cx.boundary} == {"i"}
 
+    @pytest.mark.parametrize("block", [1, 3])
+    def test_matches_tuple_builder_in_small_blocks(self, monkeypatch, block):
+        monkeypatch.setattr(homology_module, "_BLOCK", block)
+        self.test_matches_tuple_builder()
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM")
+    def test_build_memory_stays_near_the_arrays(self):
+        # growth of peak RSS during the build of I(6,2)'s cell complex, against
+        # the bytes of its boundary arrays: 1.6 when the layers are built in
+        # blocks, 3.6 when each column is built for a whole layer at once.
+        # The peak is read from VmHWM: a child's ru_maxrss starts at its
+        # parent's RSS (Linux carries it across fork and exec), which hides
+        # the growth when the parent is pytest.
+        script = (
+            "import importlib, re\n"
+            "from posettop.complexes import order_complex\n"
+            "from posettop.constructions import fiber_ideal\n"
+            "H = importlib.import_module('posettop.homology')\n"
+            "def peak():\n"
+            "    with open('/proc/self/status') as f:\n"
+            "        return int(re.search(r'VmHWM:\\s+(\\d+) kB', f.read()).group(1)) * 1024\n"
+            "K = order_complex(fiber_ideal(6, range(1, 7), 2).poset)\n"
+            "K.source_poset.above_masks()\n"
+            "before = peak()\n"
+            "cx = H._cell_complex(K)\n"
+            "print(peak() - before, sum(len(b) * b.itemsize for b in cx.boundary))\n")
+        path = [str(Path(__file__).resolve().parent.parent / "src"), os.environ.get("PYTHONPATH", "")]
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": os.pathsep.join(path)}, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        growth, arrays = map(int, proc.stdout.split())
+        assert arrays == 6_380_332
+        assert growth <= 3 * arrays, growth / arrays
+
     def test_order_complex_homology_lists_no_chain(self, monkeypatch):
         from posettop import complexes
         from posettop.constructions import subword
-        homology_module = importlib.import_module("posettop.homology")
         calls = []
 
         def spy(name, fn):
@@ -265,6 +308,11 @@ class TestCellComplex:
 
 
 class TestCascade:
+    @pytest.mark.parametrize("block", [1, 3])
+    def test_survivors_per_layer_in_small_blocks(self, monkeypatch, block):
+        monkeypatch.setattr(homology_module, "_BLOCK", block)
+        self.test_survivors_per_layer()
+
     def test_survivors_per_layer(self):
         # live cells per layer after the cascade, pinned; layer k holds the
         # cells with k vertices, so layer 0 is the empty face

@@ -122,6 +122,14 @@ class TestBuildPoset:
         assert P.less("a", "c") and P.less("a", "b") and P.less("b", "c")
         assert not P.less("c", "a")
 
+    def test_topo_positions_invert_topo_order(self):
+        rng = random.Random(5)
+        for _ in range(30):
+            P = random_poset(rng, rng.randint(0, 12))
+            pos = P.topo_positions()
+            assert [pos[i] for i in P.topo_order()] == list(range(len(P)))
+            assert P.topo_positions() is pos  # computed once per poset
+
     def test_cycle_rejected(self):
         with pytest.raises(PosetError, match="cycle"):
             build_poset(["a", "b"], [("a", "b"), ("b", "a")])
