@@ -253,7 +253,7 @@ def _cmd_family(args) -> int:
     elif args.family == "rees-deranged":
         out = rees_deranged(args.n)
     else:  # fiber-ideal
-        letters = args.letters if args.letters else range(1, args.n + 1)
+        letters = args.letters if args.letters is not None else range(1, args.n + 1)
         out = fiber_ideal(args.n, letters, args.i).poset
     _write_text(poset_to_json(out), args.output)
     return 0

@@ -75,7 +75,12 @@ def product(P: Poset, Q: Poset) -> Poset:
 def _pullback(P: Poset, Q: Poset, slack) -> Poset:
     """Subposet of the product on the pairs ``(p, q)`` with ``slack(p, q)``
     not ``None``, where a pair lies below another iff it does so in the
-    product and its slack is no larger."""
+    product and its slack is no larger.
+
+    Masks are over pair indices: a pair's strict up-set is the pairs whose
+    first coordinate is at or above its own, whose second coordinate is
+    at or above its own, and whose slack is at least its own, less itself.
+    """
     pairs = []
     weights = []
     for i, p in enumerate(P.labels):
@@ -84,19 +89,24 @@ def _pullback(P: Poset, Q: Poset, slack) -> Poset:
             if w is not None:
                 pairs.append((i, j))
                 weights.append(w)
-    above_p = P.above_masks()
-    above_q = Q.above_masks()
-    above = [0] * len(pairs)
-    for a, (i1, j1) in enumerate(pairs):
-        pa = above_p[i1]
-        qa = above_q[j1]
-        w1 = weights[a]
-        for b, (i2, j2) in enumerate(pairs):
-            if a == b:
-                continue
-            if (i1 == i2 or (pa >> i2 & 1)) and (j1 == j2 or (qa >> j2 & 1)) \
-                    and weights[b] >= w1:
-                above[a] |= 1 << b
+    up_p = [0] * len(P.labels)
+    up_q = [0] * len(Q.labels)
+    by_weight = {}
+    for a, (i, j) in enumerate(pairs):
+        up_p[i] |= 1 << a
+        up_q[j] |= 1 << a
+        by_weight[weights[a]] = by_weight.get(weights[a], 0) | 1 << a
+    for X, up in ((P, up_p), (Q, up_q)):
+        for i in reversed(X.topo_order()):
+            for j in X._up_adj[i]:
+                up[i] |= up[j]
+    geq = {}
+    acc = 0
+    for w in sorted(by_weight, reverse=True):
+        acc |= by_weight[w]
+        geq[w] = acc
+    above = [(up_p[i] & up_q[j] & geq[weights[a]]) ^ (1 << a)
+             for a, (i, j) in enumerate(pairs)]
     labels = tuple((P.labels[i], Q.labels[j]) for (i, j) in pairs)
     return poset_from_order(labels, above)
 
@@ -303,7 +313,8 @@ def support_descents(word: str) -> tuple[tuple[int, ...], int]:
     ((1, 2, 3), 2)
     """
     letters = _word_letters(word)
-    return tuple(sorted(letters)), len(word_descents(word)) + 1
+    drops = sum(a > b for a, b in zip(letters, letters[1:]))
+    return tuple(sorted(letters)), drops + 1
 
 
 @lru_cache(maxsize=None)
@@ -343,21 +354,39 @@ def fiber_ideal(n: int, letters: Iterable[int], descent_class: int) -> FiberIdea
         raise ValueError(f"need 1 <= descent_class <= {len(A)}")
     K = subword(n)
     R = rees_deranged(n)
-    target = (A, i - 1)
-    members = []
-    for w in K.labels:
-        supp, j = support_descents(w)
-        if R.leq((supp, j - 1), target):
-            members.append(w)
-    fiber = induced_subposet(K, members)
-
-    generators = [w for w in members
-                  if support_descents(w) == (A, i)]
+    image = _word_projection(n)
+    target = R.index((A, i - 1))
+    ideal = R.below_masks()[target] | 1 << target
+    members = [k for k, r in enumerate(image) if ideal >> r & 1]
+    pos = {k: t for t, k in enumerate(members)}
+    # The preimage of an order ideal under an order-preserving map is an
+    # order ideal, so the fiber's covers are K's covers inside it.  A lower
+    # cover left out would make that false, so it raises instead.
+    covers = []
+    for t, k in enumerate(members):
+        for low in K._down_adj[k]:
+            if low not in pos:
+                raise RuntimeError(
+                    f"fiber over {(A, i)} is not down-closed: "
+                    f"{K.labels[low]!r} lies below member {K.labels[k]!r} but is left out")
+            covers.append((pos[low], t))
+    fiber = Poset(tuple(K.labels[k] for k in members), covers, _validated=True)
     below = K.below_masks()
-    gen_mask = 0
-    for w in generators:
-        gi = K.index(w)
-        gen_mask |= below[gi] | (1 << gi)
-    generated = {K.labels[t] for t in iter_bits(gen_mask)}
-    consistent = generated == set(members)
-    return FiberIdeal(fiber, consistent, n, A, i)
+    generated = 0
+    member_mask = 0
+    for k in members:
+        member_mask |= 1 << k
+        if image[k] == target:
+            generated |= below[k] | 1 << k
+    return FiberIdeal(fiber, generated == member_mask, n, A, i)
+
+
+@lru_cache(maxsize=None)
+def _word_projection(n: int) -> tuple[int, ...]:
+    """Index in ``rees_deranged(n)`` of the image of each word of ``subword(n)``."""
+    R = rees_deranged(n)
+    out = []
+    for w in subword(n).labels:
+        supp, j = support_descents(w)
+        out.append(R.index((supp, j - 1)))
+    return tuple(out)

@@ -1,0 +1,81 @@
+"""Slow reference constructions, kept only to check the library in the tests.
+
+``pairwise_pullback`` builds the subposet of a product that Segre and Rees
+products are made from by comparing every pair of pairs;
+``reference_fiber_ideal`` builds a word-ideal fiber by testing each word's
+image in the deranged Rees poset with ``R.leq`` and takes its covers from
+:func:`induced_subposet`.  Neither shares the library's mask arithmetic.
+"""
+
+from posettop.constructions import (
+    FiberIdeal,
+    poset_from_order,
+    rees_deranged,
+    subword,
+    support_descents,
+)
+from posettop.posets import induced_subposet, iter_bits, require_rank_info
+
+
+def pairwise_pullback(P, Q, slack):
+    """Pairs ``(p, q)`` with ``slack(p, q)`` not ``None``; a pair lies below
+    another iff it does so in the product and its slack is no larger."""
+    pairs = []
+    weights = []
+    for i, p in enumerate(P.labels):
+        for j, q in enumerate(Q.labels):
+            w = slack(p, q)
+            if w is not None:
+                pairs.append((i, j))
+                weights.append(w)
+    above_p = P.above_masks()
+    above_q = Q.above_masks()
+    above = [0] * len(pairs)
+    for a, (i1, j1) in enumerate(pairs):
+        pa = above_p[i1]
+        qa = above_q[j1]
+        w1 = weights[a]
+        for b, (i2, j2) in enumerate(pairs):
+            if a == b:
+                continue
+            if (i1 == i2 or (pa >> i2 & 1)) and (j1 == j2 or (qa >> j2 & 1)) \
+                    and weights[b] >= w1:
+                above[a] |= 1 << b
+    labels = tuple((P.labels[i], Q.labels[j]) for (i, j) in pairs)
+    return poset_from_order(labels, above)
+
+
+def reference_segre(P, f, Q, g):
+    """Pairs where the two maps (dicts on labels) agree."""
+    return pairwise_pullback(P, Q, lambda p, q: 0 if f[p] == g[q] else None)
+
+
+def reference_rees(P, Q):
+    rp = require_rank_info(P).rank
+    rq = require_rank_info(Q).rank
+    return pairwise_pullback(P, Q, lambda p, q: rp[p] - rq[q] if rp[p] >= rq[q] else None)
+
+
+def reference_fiber_ideal(n, letters, descent_class):
+    A = tuple(sorted(set(letters)))
+    i = descent_class
+    K = subword(n)
+    R = rees_deranged(n)
+    target = (A, i - 1)
+    members = []
+    for w in K.labels:
+        supp, j = support_descents(w)
+        if R.leq((supp, j - 1), target):
+            members.append(w)
+    fiber = induced_subposet(K, members)
+
+    generators = [w for w in members
+                  if support_descents(w) == (A, i)]
+    below = K.below_masks()
+    gen_mask = 0
+    for w in generators:
+        gi = K.index(w)
+        gen_mask |= below[gi] | (1 << gi)
+    generated = {K.labels[t] for t in iter_bits(gen_mask)}
+    consistent = generated == set(members)
+    return FiberIdeal(fiber, consistent, n, A, i)

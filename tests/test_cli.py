@@ -33,6 +33,13 @@ class TestFamilies:
         assert code == 0
         assert len(poset_from_json(out)) == 13
 
+    def test_fiber_ideal_empty_letter_set_is_a_usage_error(self, capsys):
+        code = main(["family", "fiber-ideal", "--n", "3", "--i", "2", "--letters", ","])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "nonempty" in captured.err
+
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "out.json"
         code, _ = run_cli(capsys, "-o", str(target), "family", "subword", "--n", "3")

@@ -34,6 +34,13 @@ from posettop.posets import (
     require_rank_info,
 )
 
+from posettop import constructions
+from construction_oracle import (
+    pairwise_pullback,
+    reference_fiber_ideal,
+    reference_rees,
+    reference_segre,
+)
 from test_posets import boolean_lattice, naive_mobius
 
 
@@ -403,3 +410,98 @@ class TestConstructedPosetsAreValid:
         for P in samples:
             Q = Poset(P.labels, P.covers)  # runs full validation
             assert Q.covers == P.covers
+
+
+def same_poset(P, Q):
+    return P.labels == Q.labels and P.covers == Q.covers
+
+
+def oracle_factors():
+    # the last one's label order is not a linear extension
+    backwards = build_poset(["c", "b", "a", "d"],
+                            [("a", "b"), ("b", "c"), ("a", "d"), ("d", "c")])
+    return ([chain(m) for m in (1, 2, 3, 4)]
+            + [boolean(n) for n in (2, 3, 4)]
+            + [boolean_minus_bottom(n) for n in (2, 3, 4)]
+            + [backwards])
+
+
+def random_monotone(P, rng):
+    """A random order-preserving map from ``P`` into the naturals."""
+    value = {}
+    for i in P.topo_order():
+        low = [value[P.labels[j]] for j in P._down_adj[i]]
+        value[P.labels[i]] = max(low, default=0) + rng.randrange(2)
+    return value
+
+
+class TestMaskConstructionsMatchOracles:
+    """The mask-arithmetic products and fibers against the pair-by-pair
+    and word-by-word constructions in ``construction_oracle``."""
+
+    def test_segre_and_rees_products(self):
+        factors = oracle_factors()
+        for P in factors:
+            rp = dict(rank_map(P).values)
+            for Q in factors:
+                rq = dict(rank_map(Q).values)
+                assert same_poset(segre(P, rp, Q, rq), reference_segre(P, rp, Q, rq))
+                assert same_poset(rees(P, Q), reference_rees(P, Q))
+
+    def test_weighted_segre_strict_and_not(self):
+        factors = oracle_factors()
+        for P in factors:
+            rp = dict(rank_map(P).values)
+            for Q in factors:
+                rq = dict(rank_map(Q).values)
+                halved = {q: r // 2 for q, r in rq.items()}
+                for g in (rq, halved):
+                    got = weighted_segre(P, Q, g)
+                    assert same_poset(got.poset, reference_segre(P, rp, Q, g))
+                assert weighted_segre(P, Q, halved).g_strict == (max(rq.values()) == 0)
+
+    def test_segre_with_arbitrary_maps(self):
+        rng = random.Random(7)
+        factors = oracle_factors()
+        for _ in range(20):
+            P, Q = rng.choice(factors), rng.choice(factors)
+            f, g = random_monotone(P, rng), random_monotone(Q, rng)
+            assert same_poset(segre(P, f, Q, g), reference_segre(P, f, Q, g))
+
+    def test_pullback_with_unequal_slacks(self):
+        rng = random.Random(11)
+        P, Q = boolean(3), boolean_minus_bottom(3)
+        table = {(p, q): rng.choice([None, 0, 1, 2]) for p in P.labels for q in Q.labels}
+        slack = lambda p, q: table[p, q]  # noqa: E731
+        assert same_poset(constructions._pullback(P, Q, slack),
+                          pairwise_pullback(P, Q, slack))
+
+    def test_named_families(self):
+        B = boolean(4)
+        r = dict(rank_map(B).values)
+        assert same_poset(minors(4), reference_segre(B, r, B, r))
+        for n in range(1, 7):
+            assert same_poset(rees_deranged(n),
+                              reference_rees(boolean_minus_bottom(n), chain(n)))
+
+    def test_every_fiber_to_n5_and_full_alphabet_n6(self):
+        cases = [(n, A, i) for n in range(1, 6) for k in range(1, n + 1)
+                 for A in itertools.combinations(range(1, n + 1), k)
+                 for i in range(1, k + 1)]
+        cases += [(6, tuple(range(1, 7)), i) for i in range(1, 7)]
+        for (n, A, i) in cases:
+            got = fiber_ideal(n, A, i)
+            ref = reference_fiber_ideal(n, A, i)
+            assert same_poset(got.poset, ref.poset), (n, A, i)
+            assert got.consistent == ref.consistent, (n, A, i)
+            assert (got.n, got.letters, got.descent_class) == (n, A, i)
+
+    def test_fiber_that_is_not_down_closed_raises(self, monkeypatch):
+        K, R = subword(3), rees_deranged(3)
+        image = list(constructions._word_projection(3))
+        # "1" now maps to ((1, 2, 3), 2), outside the ideal below
+        # ((1, 2, 3), 1), while "12" above it still maps inside
+        image[K.index("1")] = R.index(((1, 2, 3), 2))
+        monkeypatch.setattr(constructions, "_word_projection", lambda n: tuple(image))
+        with pytest.raises(RuntimeError, match="not down-closed"):
+            fiber_ideal(3, (1, 2, 3), 2)
