@@ -15,7 +15,8 @@ distinction honest.
 Most intervals are decided from the sizes of their critical chains
 alone.  The element matching taken from the top down of a linear
 extension leaves critical chains (``homology._critical_chains``) with
-the interval's homology.  When every one of them sits in dimension
+the interval's homology; the sweeps get each chain as an id with a size
+and read only the sizes.  When every one of them sits in dimension
 ``gap - 2`` (there may be none), that homology is free and concentrated
 in dimension ``gap - 2``, so the interval passes in every mode and no
 homology summary is built.  Any other interval goes to
@@ -136,25 +137,28 @@ def _interval_items(P: Poset):
     for j in range(n):
         if rank[j] < 3:
             continue
-        for i, chains in _critical_chains(A, j).items():
-            if not _chains_in_dim(chains, rank[j] - rank[i] - 2):
-                summaries[i, j] = _interval_homology(A, i, j, chains)
+        crit = _critical_chains(A, j)
+        size = crit.size.__getitem__
+        for i, chains in crit.chains.items():
+            if not _chains_in_dim(map(size, chains), rank[j] - rank[i] - 2):
+                summaries[i, j] = _interval_homology(A, i, j, map(size, chains))
     for i in range(n):
         for j in iter_bits(above[i]):
             gap = rank[j] - rank[i]
             yield (A.labels[i], A.labels[j], gap, summaries.get((i, j)))
 
 
-def _interval_homology(A: Poset, i: int, j: int, chains) -> HomologySummary:
+def _interval_homology(A: Poset, i: int, j: int, sizes) -> HomologySummary:
     """Integral reduced homology of the open interval between the indices
-    ``i < j`` of ``A``, given its critical chains ``_critical_chains(A, j)[i]``.
+    ``i < j`` of ``A``, given the sizes of its critical chains
+    (``_critical_chains(A, j).sizes(i)``).
 
     The sweeps call it only where the chain sizes alone do not decide the
     interval (``homology._chains_in_dim``).  The critical chains fix the
     homology unless two of them sit in adjacent dimensions; then the
     interval is built and its order complex goes to the homology engine.
     """
-    summary = _morse_summary(chains)
+    summary = _morse_summary(sizes)
     if summary is None:
         between = A.above_masks()[i] & A.below_masks()[j]
         interval = _induced_by_indices(A, list(iter_bits(between)))
@@ -238,11 +242,11 @@ def is_acyclic_over(P: Poset, coeffs: CoeffSpec) -> bool:
     mode = parse_coefficients(coeffs)
     A = augment(P)
     top = len(A) - 1
-    chains = _critical_chains(A, top)[0]
-    sizes = set(map(int.bit_count, chains))
+    crit = _critical_chains(A, top)
+    sizes = set(crit.sizes(0))
     if len(sizes) < 2:
         return not sizes
-    summary = _interval_homology(A, 0, top, chains)
+    summary = _interval_homology(A, 0, top, crit.sizes(0))
     if mode != "Z":
         summary = summary.over_field(mode)
     return summary.is_trivial()

@@ -21,8 +21,9 @@ checks this engine against.
 
 The interval sweeps mostly skip the engine: ``_critical_chains`` gives
 the critical chains of poset intervals under an acyclic element matching,
-and ``_morse_summary`` reads the homology off them when no two sit in
-adjacent dimensions.
+each chain a small-int id with a size (one id per distinct chain of a
+pass, no bitmask), and ``_chains_in_dim`` and ``_morse_summary`` read the
+homology off their sizes when no two sit in adjacent dimensions.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate, chain, compress, count, repeat
 from operator import add
-from typing import Mapping, Optional, Sequence, Union
+from typing import Mapping, NamedTuple, Optional, Sequence, Union
 from weakref import WeakValueDictionary
 
 from .complexes import ComplexError, SimplicialComplex
@@ -210,7 +211,26 @@ def make_summary(coefficients: str, groups: Mapping[int, tuple[int, Sequence[int
 # -- critical chains of poset intervals ------------------------------------
 
 
-def _critical_chains(P: Poset, y: int) -> dict[int, set[int]]:
+class _CriticalChains(NamedTuple):
+    """The critical chains of one ``_critical_chains`` pass, as small-int ids.
+
+    ``chains[z]`` holds the ids of the critical chains of ``(z, y)``.  Id 0
+    is the empty chain; ``ext[w][c]`` is the id of the chain with least
+    element ``w`` followed by the chain ``c``, and ``size[c]`` is the
+    number of elements of chain ``c``.  Each distinct chain of the pass
+    has exactly one id.
+    """
+
+    chains: dict[int, set[int]]
+    size: list[int]
+    ext: dict[int, dict[int, int]]
+
+    def sizes(self, z: int):
+        """The sizes of the critical chains of ``(z, y)``."""
+        return map(self.size.__getitem__, self.chains[z])
+
+
+def _critical_chains(P: Poset, y: int) -> _CriticalChains:
     """Critical chains of every open interval ``(z, y)`` of ``P``, by ``z``.
 
     The matching on the chains of ``(z, y)``, the empty chain included, is
@@ -219,8 +239,9 @@ def _critical_chains(P: Poset, y: int) -> dict[int, set[int]]:
     are still unmatched.  Such a sequence of element matchings is acyclic
     (Jonsson, *Simplicial Complexes of Graphs*, LNM 1928, ch. 4), so the
     critical chains are the cells of a complex with the same reduced
-    homology (Forman, discrete Morse theory).  A chain is a bitmask of
-    element indices; ``0`` is the empty chain, in dimension -1.
+    homology (Forman, discrete Morse theory).  A chain is a small-int id
+    with a size (``_CriticalChains``); id 0 is the empty chain, in
+    dimension -1.
 
     The chains of ``(z, y)`` with least element ``w`` are ``w`` plus a chain
     of ``(w, y)``.  Of the elements processed before ``w``, only those of
@@ -233,46 +254,64 @@ def _critical_chains(P: Poset, y: int) -> dict[int, set[int]]:
 
     One pass over the ``z < y`` from the top down computes each ``C``
     before it is needed.  A ``w`` with no critical chain changes nothing,
-    so the inner loop runs only over ``live``, the processed elements with
-    one.  No chain list of an interval is ever built.
+    so the inner loop runs only over ``live``: the processed elements that
+    have one and lie above another element, as a mask of ``topo_order()``
+    places, whose set bits under ``P.above_positions()[z]`` are read from
+    the top down.  When ``C`` is final, each chain ``w.c`` gets its id
+    (``ext[w][c]``), so every later step is set arithmetic on small ints
+    and no chain is built twice.  No chain list of an interval is ever
+    built.
     """
-    pos = P.topo_positions().__getitem__
-    above = P.above_masks()
+    order, pos = P.topo_order(), P.topo_positions()
+    above, below = P.above_positions(), P.below_masks()
     crit: dict[int, set[int]] = {}
-    live = 0
-    for z in sorted(iter_bits(P.below_masks()[y]), key=pos, reverse=True):
+    ext: dict[int, dict[int, int]] = {}
+    live, n = 0, 1
+    for z in sorted(iter_bits(below[y]), key=pos.__getitem__, reverse=True):
         W = {0}
-        for w in sorted(iter_bits(above[z] & live), key=pos, reverse=True):
+        m = above[z] & live
+        while m:
+            p = m.bit_length() - 1
+            m ^= 1 << p
+            w = order[p]
             C = crit[w]
             M = W & C
             if M:
                 W -= M
-                C = C - M
-            W.update(map((1 << w).__or__, C))
+                W.update(map(ext[w].__getitem__, C - M))
+            else:
+                W.update(ext[w].values())
         crit[z] = W
-        if W:
-            live |= 1 << z
-    return crit
+        if W and below[z]:
+            live |= 1 << pos[z]
+            ext[z] = dict(zip(W, count(n)))
+            n += len(W)
+    # ids were handed out in this order, each after the id of its rest
+    size = [0]
+    for c in chain.from_iterable(ext.values()):
+        size.append(size[c] + 1)
+    return _CriticalChains(crit, size, ext)
 
 
-def _chains_in_dim(chains, d: int) -> bool:
-    """True iff every chain sits in dimension ``d`` (has ``d + 1``
-    elements), which holds when there is none.
+def _chains_in_dim(sizes, d: int) -> bool:
+    """True iff every chain, given by its size, sits in dimension ``d``
+    (has ``d + 1`` elements), which holds when there is none.
 
     The critical chains of an acyclic matching then give free homology
     concentrated in dimension ``d``, with no Morse boundary to compute.
     """
-    return all(map((d + 1).__eq__, map(int.bit_count, chains)))
+    return all(map((d + 1).__eq__, sizes))
 
 
-def _morse_summary(chains) -> Optional[HomologySummary]:
-    """Integral homology from the critical chains of an acyclic matching,
-    or ``None`` when two of them sit in adjacent dimensions.
+def _morse_summary(sizes) -> Optional[HomologySummary]:
+    """Integral homology from the sizes of the critical chains of an
+    acyclic matching, or ``None`` when two of them sit in adjacent
+    dimensions.
 
     Otherwise every boundary map of the Morse complex is zero, so the
     homology is free with one generator per critical chain.
     """
-    counts = Counter(c.bit_count() - 1 for c in chains)
+    counts = Counter(s - 1 for s in sizes)
     if any(d + 1 in counts for d in counts):
         return None
     if -1 in counts:

@@ -92,6 +92,7 @@ class Poset:
         "_below",
         "_topo",
         "_topo_pos",
+        "_above_pos",
         "_rank_result",
     )
 
@@ -123,6 +124,7 @@ class Poset:
         self._below = None
         self._topo = None
         self._topo_pos = None
+        self._above_pos = None
         self._rank_result = None
         if not _validated:
             self._validate()
@@ -200,6 +202,22 @@ class Poset:
                 masks[i] = acc
             self._above = masks
         return self._above
+
+    def above_positions(self) -> list[int]:
+        """``above_positions()[i]`` has bit ``p`` set iff the element at
+        place ``p`` of :meth:`topo_order` lies above ``labels[i]``, so its
+        bits from the top down list the elements above in decreasing
+        :meth:`topo_order` position."""
+        if self._above_pos is None:
+            pos = self.topo_positions()
+            masks = [0] * len(self.labels)
+            for i in reversed(self.topo_order()):
+                acc = 0
+                for j in self._up_adj[i]:
+                    acc |= masks[j] | (1 << pos[j])
+                masks[i] = acc
+            self._above_pos = masks
+        return self._above_pos
 
     def below_masks(self) -> list[int]:
         if self._below is None:

@@ -301,9 +301,9 @@ def koszul_necessary_test(S: HomogeneousSemigroup, max_rank: int,
             checked += 1
             runs += 1
             j = T.index(lam)
-            if _chains_in_dim(crit[j], m - 2):
+            if _chains_in_dim(crit.sizes(j), m - 2):
                 continue
-            bad = _summary_violations(_interval_homology(T, 0, j, crit[j]), m, mode)
+            bad = _summary_violations(_interval_homology(T, 0, j, crit.sizes(j)), m, mode)
             if bad:
                 return KoszulReport(False, max_rank, name, witness=(lam, "; ".join(bad)),
                                     elements_checked=checked, homology_runs=runs)

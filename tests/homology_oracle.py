@@ -9,7 +9,9 @@ Smith normal form of every boundary matrix.  ``tuple_cell_complex``
 builds the engine's cell arrays from face tuples and a dict index of
 each layer, without the chain tree's index arithmetic.
 ``reference_critical_chains`` runs the critical-chain recursion over
-every element of each interval, critical chains or none.
+every element of each interval, critical chains or none, on bitmasks;
+``decode_critical_chains`` turns the engine's chain ids into the same
+bitmasks.
 """
 
 from array import array
@@ -77,9 +79,9 @@ def tuple_cell_complex(K) -> SimpleNamespace:
 
 
 def reference_critical_chains(P, y) -> dict:
-    """``homology._critical_chains(P, y)``: the recursion
-    ``M = W & C; W = (W - M) | w.(C - M)`` over every ``w`` of ``(z, y)``,
-    in decreasing ``P.topo_order()`` position."""
+    """``homology._critical_chains(P, y)`` with chains as bitmasks: the
+    recursion ``M = W & C; W = (W - M) | w.(C - M)`` over every ``w`` of
+    ``(z, y)``, in decreasing ``P.topo_order()`` position."""
     pos = {v: k for k, v in enumerate(P.topo_order())}
     above = P.above_masks()
     below_y = P.below_masks()[y]
@@ -94,3 +96,14 @@ def reference_critical_chains(P, y) -> dict:
             W.update(u | bit for u in C - M)
         crit[z] = W
     return crit
+
+
+def decode_critical_chains(crit) -> dict:
+    """The ``{z: set of bitmasks}`` of a ``homology._critical_chains``
+    result: each chain id is decoded through its ``(least, rest)`` key
+    in ``crit.ext``."""
+    masks = {0: 0}
+    for w, ext in crit.ext.items():
+        for rest, c in ext.items():
+            masks[c] = 1 << w | masks[rest]
+    return {z: {masks[c] for c in ids} for z, ids in crit.chains.items()}

@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 import time
+from collections import Counter
 from itertools import compress
 from pathlib import Path
 
@@ -39,6 +40,7 @@ from posettop.homology import (
 from posettop.posets import build_poset, iter_bits, mobius, open_interval
 
 from homology_oracle import (
+    decode_critical_chains,
     elimination_betti,
     reference_critical_chains,
     snf_homology,
@@ -428,8 +430,21 @@ class TestCriticalChains:
         posets = [shuffled(random_pure_bounded_poset(rng), rng) for _ in range(40)]
         posets += [boolean_top_first(4), face_poset(projective_plane()), rees_deranged(3)]
         for P in posets:
+            above = P.above_masks()
             for y in range(len(P)):
-                assert _critical_chains(P, y) == reference_critical_chains(P, y)
+                crit = _critical_chains(P, y)
+                assert decode_critical_chains(crit) == reference_critical_chains(P, y)
+                # ids 1, 2, ... each name one distinct chain: w below its
+                # rest, and one element more than the rest
+                masks = {0: 0}
+                for w, ext in crit.ext.items():
+                    for rest, c in ext.items():
+                        assert masks[rest] & ~above[w] == 0
+                        assert crit.size[c] == crit.size[rest] + 1
+                        masks[c] = 1 << w | masks[rest]
+                assert crit.size[0] == 0
+                assert sorted(masks) == list(range(len(crit.size)))
+                assert len(set(masks.values())) == len(masks)
 
     def test_alternating_count_is_mobius(self):
         # the matching pairs off every chain it leaves uncritical, so the
@@ -438,9 +453,11 @@ class TestCriticalChains:
         for _ in range(30):
             P = shuffled(random_pure_bounded_poset(rng), rng)
             for y in range(len(P)):
-                for z, chains in _critical_chains(P, y).items():
+                crit = _critical_chains(P, y)
+                for z, chains in decode_critical_chains(crit).items():
                     euler = sum((-1) ** (c.bit_count() - 1) for c in chains)
                     assert euler == mobius(P, P.labels[z], P.labels[y])
+                    assert sorted(crit.sizes(z)) == sorted(map(int.bit_count, chains))
 
     def test_chains_lie_in_the_interval(self):
         rng = random.Random(103)
@@ -448,7 +465,7 @@ class TestCriticalChains:
             P = shuffled(random_pure_bounded_poset(rng), rng)
             above, below = P.above_masks(), P.below_masks()
             for y in range(len(P)):
-                for z, chains in _critical_chains(P, y).items():
+                for z, chains in decode_critical_chains(_critical_chains(P, y)).items():
                     inside = above[z] & below[y]
                     for c in chains:
                         assert c & ~inside == 0
@@ -465,8 +482,9 @@ class TestCriticalChains:
         certified = 0
         for P in posets:
             for y in range(len(P)):
-                for z, chains in _critical_chains(P, y).items():
-                    summary = _morse_summary(chains)
+                crit = _critical_chains(P, y)
+                for z in crit.chains:
+                    summary = _morse_summary(crit.sizes(z))
                     if summary is None:
                         continue
                     certified += 1
@@ -475,29 +493,66 @@ class TestCriticalChains:
         assert certified > 0
 
     def test_adjacent_dimensions_are_not_certified(self):
-        # two critical chains in dimensions 1 and 2 may cancel or leave torsion
-        assert _morse_summary([0b11, 0b111]) is None
-        assert _morse_summary([0b1, 0]) is None
-        assert str(_morse_summary([0b1, 0b111, 0b10101])) == "H~0 = Z, H~2 = Z^2 (Z)"
+        # chains are given by their sizes: two critical chains in
+        # dimensions 1 and 2 may cancel or leave torsion
+        assert _morse_summary([2, 3]) is None
+        assert _morse_summary([1, 0]) is None
+        assert str(_morse_summary([1, 3, 3])) == "H~0 = Z, H~2 = Z^2 (Z)"
         assert _morse_summary([0]).empty_complex
         assert _morse_summary([]).is_trivial()
 
     def test_chains_in_dim(self):
         assert _chains_in_dim([], 3)
-        assert _chains_in_dim({0}, -1)
-        assert _chains_in_dim([0b11, 0b1010, 0b1100], 1)
-        assert not _chains_in_dim([0b11, 0b111], 1)
-        assert not _chains_in_dim([0b111], 1)
-        # where it holds, the certified homology is free in that dimension
+        assert _chains_in_dim([0], -1)
+        assert _chains_in_dim([2, 2, 2], 1)
+        assert not _chains_in_dim([2, 3], 1)
+        assert not _chains_in_dim([3], 1)
+        # where it holds, the certified homology is free in that dimension,
+        # and the decoded chains all have that many elements
         rng = random.Random(113)
         for _ in range(20):
             P = shuffled(random_pure_bounded_poset(rng), rng)
             for y in range(len(P)):
-                for chains in _critical_chains(P, y).values():
+                crit = _critical_chains(P, y)
+                for z, chains in decode_critical_chains(crit).items():
                     for d in {c.bit_count() - 1 for c in chains}:
-                        if _chains_in_dim(chains, d):
-                            summary = _morse_summary(chains)
+                        if _chains_in_dim(crit.sizes(z), d):
+                            assert all(c.bit_count() == d + 1 for c in chains)
+                            summary = _morse_summary(crit.sizes(z))
                             assert summary.is_free() and summary.concentrated_in(d)
+
+    def test_top_pass_on_the_papers_posets(self):
+        # critical cells per dimension of (0^, 1^) in augment(P) under the
+        # default linear extension
+        from posettop.constructions import fiber_ideal, rees_deranged, subword
+        from posettop.posets import augment
+        cases = [(fiber_ideal(6, range(1, 7), 2).poset, {4: 1, 5: 1}),
+                 (fiber_ideal(6, range(1, 7), 3).poset, {3: 1, 4: 36, 5: 35}),
+                 (fiber_ideal(6, range(1, 7), 4).poset, {2: 1, 3: 15, 4: 53, 5: 39}),
+                 (fiber_ideal(6, range(1, 7), 5).poset, {1: 1, 2: 5, 3: 10, 4: 10, 5: 4}),
+                 (rees_deranged(7), {6: 1854}),
+                 (subword(6), {5: 265})]
+        for P, cells in cases:
+            A = augment(P)
+            crit = _critical_chains(A, len(A) - 1)
+            assert Counter(s - 1 for s in crit.sizes(0)) == cells
+
+    def test_top_pass_memory(self):
+        # each distinct chain is one small int; with a fresh bitmask per
+        # chain this pass peaked at 8.8 MiB
+        import tracemalloc
+        from posettop.constructions import subword
+        from posettop.posets import augment
+        A = augment(subword(6))
+        A.above_positions(), A.below_masks()  # the order data is not measured
+        tracemalloc.start()
+        try:
+            crit = _critical_chains(A, len(A) - 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(crit.chains[0]) == 265
+        assert peak <= 6 * 2 ** 20
 
 
 class TestDirectPathOnRealPosets:

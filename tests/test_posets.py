@@ -22,6 +22,7 @@ from posettop.posets import (
     induced_subposet,
     is_isomorphic,
     is_pure,
+    iter_bits,
     mobius,
     open_interval,
     poset_from_json,
@@ -129,6 +130,16 @@ class TestBuildPoset:
             pos = P.topo_positions()
             assert [pos[i] for i in P.topo_order()] == list(range(len(P)))
             assert P.topo_positions() is pos  # computed once per poset
+
+    def test_above_positions_are_above_masks_by_place(self):
+        rng = random.Random(7)
+        for _ in range(30):
+            P = random_poset(rng, rng.randint(0, 12))
+            order, above = P.topo_order(), P.above_masks()
+            up = P.above_positions()
+            for i in range(len(P)):
+                assert {order[p] for p in iter_bits(up[i])} == set(iter_bits(above[i]))
+            assert P.above_positions() is up
 
     def test_cycle_rejected(self):
         with pytest.raises(PosetError, match="cycle"):
