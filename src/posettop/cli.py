@@ -137,7 +137,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--g-map", default=None,
                            help="map JSON for the second factor (default: rank)")
     p = csub.add_parser("rank-select", parents=[out])
-    p.add_argument("first", help="poset JSON file, or - for stdin")
+    p.add_argument("first", nargs="?", default="-",
+                   help="poset JSON file (default: stdin)")
     p.add_argument("--ranks", type=_int_set, required=True,
                    help="comma-separated ranks to keep")
 
@@ -156,11 +157,14 @@ def build_parser() -> argparse.ArgumentParser:
     x = sub.add_parser("complex", help="simplicial complex operations")
     xsub = x.add_subparsers(dest="complex_op", required=True)
     p = xsub.add_parser("order-complex", parents=[out])
-    p.add_argument("poset", help="poset JSON file, or - for stdin")
+    p.add_argument("poset", nargs="?", default="-",
+                   help="poset JSON file (default: stdin)")
     p = xsub.add_parser("subdivision", parents=[out])
-    p.add_argument("complex", help="complex JSON file, or - for stdin")
+    p.add_argument("complex", nargs="?", default="-",
+                   help="complex JSON file (default: stdin)")
     p = xsub.add_parser("type-select", parents=[out])
-    p.add_argument("complex", help="complex JSON file, or - for stdin")
+    p.add_argument("complex", nargs="?", default="-",
+                   help="complex JSON file (default: stdin)")
     p.add_argument("--colors", required=True, help='coloring JSON {"colors": {...}}')
     p.add_argument("--keep", type=_int_set, required=True)
     p = xsub.add_parser("segre", parents=[out])

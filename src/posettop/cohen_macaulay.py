@@ -35,7 +35,6 @@ from typing import Optional, Sequence, Union
 from .complexes import order_complex
 from .homology import (
     HomologySummary,
-    _chains_in_dim,
     _critical_chains,
     _morse_summary,
     field_name,
@@ -123,8 +122,9 @@ def _interval_items(P: Poset):
 
     One top-down pass per upper element of rank 3 and up finds the
     critical chains of every interval below it (``_critical_chains``).
-    Only an interval with a critical chain of another size goes to
-    ``_interval_homology``.
+    Intervals of rank gap 3 and up are decided inline, on the chain sizes
+    (``homology._chains_in_dim``'s test); only an interval with a
+    critical chain of another size goes to ``_interval_homology``.
     """
     A = augment(P)
     info = rank_info(A)
@@ -138,10 +138,14 @@ def _interval_items(P: Poset):
         if rank[j] < 3:
             continue
         crit = _critical_chains(A, j)
-        size = crit.size.__getitem__
+        size = crit.size
         for i, chains in crit.chains.items():
-            if not _chains_in_dim(map(size, chains), rank[j] - rank[i] - 2):
-                summaries[i, j] = _interval_homology(A, i, j, map(size, chains))
+            k = rank[j] - rank[i] - 1  # elements of a chain in dimension gap - 2
+            if k > 1:
+                for c in chains:
+                    if size[c] != k:
+                        summaries[i, j] = _interval_homology(A, i, j, map(size.__getitem__, chains))
+                        break
     for i in range(n):
         for j in iter_bits(above[i]):
             gap = rank[j] - rank[i]
@@ -172,7 +176,7 @@ def _summary_violations(summary: Optional[HomologySummary], gap: int, coeffs):
     ``coeffs`` is a parsed selector: ``"Z"`` is the spherical mode, which
     also rejects torsion in dimension ``gap - 2``.  ``summary`` is ``None``
     for an interval that ``_interval_items`` decided from its critical
-    chain sizes; it passes.
+    chain sizes; it passes (``is_cm_poset`` skips such intervals itself).
     """
     d = gap - 2
     if summary is None:
@@ -214,6 +218,8 @@ def is_cm_poset(P: Poset, coeffs: CoeffSpec = "Q", use_cache: bool = True) -> CM
         return CMReport(False, name, purity_witness=info)
     failures = []
     for (x, y, gap, summary) in _interval_items(P):
+        if summary is None:
+            continue
         bad = _summary_violations(summary, gap, mode)
         if bad:
             failures.append(CMFailure(x, y, gap - 2, "; ".join(bad)))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import repeat
 from typing import Iterable, Mapping, Union
 
 from .posets import (
@@ -36,17 +37,23 @@ def _as_nat_map(P: Poset, f: MapLike, what: str) -> PosetMap:
 
 
 def poset_from_order(labels, above_masks) -> Poset:
-    """Poset from an explicit strict-order reachability mask list."""
-    n = len(labels)
-    below = [0] * n
-    for i in range(n):
-        for j in iter_bits(above_masks[i]):
-            below[j] |= 1 << i
+    """Poset from an explicit strict-order reachability mask list.
+
+    The covers of ``i`` are the bits of its up-set outside the union of
+    the up-sets of its members.  One walk per up-set gathers that union:
+    it takes the lowest member left and drops that member's up-set, whose
+    members' up-sets lie inside it, so when the index order is a linear
+    extension the walk takes one step per cover.
+    """
     covers = []
-    for i in range(n):
-        for j in iter_bits(above_masks[i]):
-            if not (above_masks[i] & below[j]):
-                covers.append((i, j))
+    for i, up in enumerate(above_masks):
+        higher, rest = 0, up
+        while rest:
+            low = rest & -rest
+            a = above_masks[low.bit_length() - 1]
+            higher |= a
+            rest &= ~(a | low)
+        covers.extend(zip(repeat(i), iter_bits(up & ~higher)))
     return Poset(labels, covers, _validated=True)
 
 

@@ -23,7 +23,10 @@ The interval sweeps mostly skip the engine: ``_critical_chains`` gives
 the critical chains of poset intervals under an acyclic element matching,
 each chain a small-int id with a size (one id per distinct chain of a
 pass, no bitmask), and ``_chains_in_dim`` and ``_morse_summary`` read the
-homology off their sizes when no two sit in adjacent dimensions.
+homology off their sizes when no two sit in adjacent dimensions.  A pass
+walks the elements by their ``topo_order()`` places, as bits of the
+poset's cached position masks, and keeps each element's critical chains
+and ids in lists indexed by place.
 """
 
 from __future__ import annotations
@@ -253,7 +256,8 @@ def _critical_chains(P: Poset, y: int) -> _CriticalChains:
         W = {()}; for w in (z, y), descending: M = W & C; W = (W - M) | w.(C - M)
 
     One pass over the ``z < y`` from the top down computes each ``C``
-    before it is needed.  A ``w`` with no critical chain changes nothing,
+    before it is needed: it reads the set bits of ``P.below_positions()[y]``
+    from the top down.  A ``w`` with no critical chain changes nothing,
     so the inner loop runs only over ``live``: the processed elements that
     have one and lie above another element, as a mask of ``topo_order()``
     places, whose set bits under ``P.above_positions()[z]`` are read from
@@ -261,30 +265,44 @@ def _critical_chains(P: Poset, y: int) -> _CriticalChains:
     (``ext[w][c]``), so every later step is set arithmetic on small ints
     and no chain is built twice.  No chain list of an interval is ever
     built.
+
+    The pass keeps its state by place, not by element: ``C`` and the ids
+    of ``w.C``, in id order, sit at ``w``'s place.  Most steps have ``M``
+    empty, and then add those ids as they are; most of the others have
+    ``M = C`` and only remove it.  Only the rest build ``M`` and look the
+    ids of ``w.(C - M)`` up in ``ext[w]``.  Every step changes ``W`` as
+    the recursion above does, in the same order, so the ids do not depend
+    on these shortcuts.
     """
-    order, pos = P.topo_order(), P.topo_positions()
-    above, below = P.above_positions(), P.below_masks()
+    order, above, below = P.topo_order(), P.above_positions(), P.below_positions()
     crit: dict[int, set[int]] = {}
     ext: dict[int, dict[int, int]] = {}
-    live, n = 0, 1
-    for z in sorted(iter_bits(below[y]), key=pos.__getitem__, reverse=True):
+    crit_at: list = [None] * len(order)  # by place, as are ids_at and live
+    ids_at: list = [None] * len(order)
+    live, n, rest = 0, 1, below[y]
+    while rest:
+        q = rest.bit_length() - 1
+        rest ^= 1 << q
+        z = order[q]
         W = {0}
         m = above[z] & live
         while m:
             p = m.bit_length() - 1
             m ^= 1 << p
-            w = order[p]
-            C = crit[w]
-            M = W & C
-            if M:
-                W -= M
-                W.update(map(ext[w].__getitem__, C - M))
+            C = crit_at[p]
+            if W.isdisjoint(C):
+                W.update(ids_at[p])
+            elif C <= W:
+                W -= C
             else:
-                W.update(ext[w].values())
-        crit[z] = W
+                M = W & C
+                W -= M
+                W.update(map(ext[order[p]].__getitem__, C - M))
+        crit[z] = crit_at[q] = W
         if W and below[z]:
-            live |= 1 << pos[z]
+            live |= 1 << q
             ext[z] = dict(zip(W, count(n)))
+            ids_at[q] = tuple(ext[z].values())
             n += len(W)
     # ids were handed out in this order, each after the id of its rest
     size = [0]

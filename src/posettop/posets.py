@@ -93,6 +93,7 @@ class Poset:
         "_topo",
         "_topo_pos",
         "_above_pos",
+        "_below_pos",
         "_rank_result",
     )
 
@@ -125,6 +126,7 @@ class Poset:
         self._topo = None
         self._topo_pos = None
         self._above_pos = None
+        self._below_pos = None
         self._rank_result = None
         if not _validated:
             self._validate()
@@ -230,6 +232,21 @@ class Poset:
                 masks[i] = acc
             self._below = masks
         return self._below
+
+    def below_positions(self) -> list[int]:
+        """``below_positions()[i]`` has bit ``p`` set iff the element at
+        place ``p`` of :meth:`topo_order` lies below ``labels[i]``; the
+        mirror of :meth:`above_positions`."""
+        if self._below_pos is None:
+            pos = self.topo_positions()
+            masks = [0] * len(self.labels)
+            for i in self.topo_order():
+                acc = 0
+                for j in self._down_adj[i]:
+                    acc |= masks[j] | (1 << pos[j])
+                masks[i] = acc
+            self._below_pos = masks
+        return self._below_pos
 
     def less(self, x, y) -> bool:
         """Strict order comparison on labels."""

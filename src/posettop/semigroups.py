@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import add, sub
 from typing import Iterable, Optional, Sequence
 
 from .cohen_macaulay import _interval_homology, _summary_violations, cm_coefficient_name
@@ -46,11 +47,11 @@ def _vec(x: Iterable[int], dim: int, what: str) -> Vector:
 
 
 def _add(a: Vector, b: Vector) -> Vector:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def _sub(a: Vector, b: Vector) -> Vector:
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 class HomogeneousSemigroup:

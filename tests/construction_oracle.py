@@ -5,16 +5,33 @@ products are made from by comparing every pair of pairs;
 ``reference_fiber_ideal`` builds a word-ideal fiber by testing each word's
 image in the deranged Rees poset with ``R.leq`` and takes its covers from
 :func:`induced_subposet`.  Neither shares the library's mask arithmetic.
+``reference_poset_from_order`` finds covers through down-sets, not by
+the library's walk over each up-set.
 """
 
 from posettop.constructions import (
     FiberIdeal,
-    poset_from_order,
     rees_deranged,
     subword,
     support_descents,
 )
-from posettop.posets import induced_subposet, iter_bits, require_rank_info
+from posettop.posets import Poset, induced_subposet, iter_bits, require_rank_info
+
+
+def reference_poset_from_order(labels, above_masks):
+    """Poset from strict up-set masks, its covers found through the
+    down-sets: ``j`` covers ``i`` iff nothing above ``i`` lies below ``j``."""
+    n = len(labels)
+    below = [0] * n
+    for i in range(n):
+        for j in iter_bits(above_masks[i]):
+            below[j] |= 1 << i
+    covers = []
+    for i in range(n):
+        for j in iter_bits(above_masks[i]):
+            if not (above_masks[i] & below[j]):
+                covers.append((i, j))
+    return Poset(labels, covers)
 
 
 def pairwise_pullback(P, Q, slack):
@@ -42,7 +59,7 @@ def pairwise_pullback(P, Q, slack):
                     and weights[b] >= w1:
                 above[a] |= 1 << b
     labels = tuple((P.labels[i], Q.labels[j]) for (i, j) in pairs)
-    return poset_from_order(labels, above)
+    return reference_poset_from_order(labels, above)
 
 
 def reference_segre(P, f, Q, g):

@@ -11,15 +11,20 @@ each layer, without the chain tree's index arithmetic.
 ``reference_critical_chains`` runs the critical-chain recursion over
 every element of each interval, critical chains or none, on bitmasks;
 ``decode_critical_chains`` turns the engine's chain ids into the same
-bitmasks.
+bitmasks.  ``element_keyed_critical_chains`` is the engine's pass with
+its state in dicts keyed by element, the elements sorted by position and
+``M = W & C`` built at every step: the engine's chains, sizes and ids
+must equal its.
 """
 
 from array import array
+from itertools import chain, count
 from types import SimpleNamespace
 
 from posettop.complexes import poset_chains_by_size
 from posettop.homology import (
     HomologySummary,
+    _CriticalChains,
     _field,
     boundary_matrices,
     field_name,
@@ -107,3 +112,38 @@ def decode_critical_chains(crit) -> dict:
         for rest, c in ext.items():
             masks[c] = 1 << w | masks[rest]
     return {z: {masks[c] for c in ids} for z, ids in crit.chains.items()}
+
+
+def element_keyed_critical_chains(P, y) -> _CriticalChains:
+    """``homology._critical_chains(P, y)`` as an element-keyed recursion:
+    the ``z < y`` sorted by decreasing ``topo_order()`` position, each
+    step ``M = W & C; W = (W - M) | w.(C - M)`` with ``C`` and ``w``'s
+    ids looked up by element."""
+    order, pos = P.topo_order(), P.topo_positions()
+    above, below = P.above_positions(), P.below_masks()
+    crit: dict = {}
+    ext: dict = {}
+    live, n = 0, 1
+    for z in sorted(iter_bits(below[y]), key=pos.__getitem__, reverse=True):
+        W = {0}
+        m = above[z] & live
+        while m:
+            p = m.bit_length() - 1
+            m ^= 1 << p
+            w = order[p]
+            C = crit[w]
+            M = W & C
+            if M:
+                W -= M
+                W.update(map(ext[w].__getitem__, C - M))
+            else:
+                W.update(ext[w].values())
+        crit[z] = W
+        if W and below[z]:
+            live |= 1 << pos[z]
+            ext[z] = dict(zip(W, count(n)))
+            n += len(W)
+    size = [0]
+    for c in chain.from_iterable(ext.values()):
+        size.append(size[c] + 1)
+    return _CriticalChains(crit, size, ext)

@@ -1,4 +1,9 @@
+import io
 import json
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -331,3 +336,82 @@ class TestComplexSegreCommand:
                             "--colors", str(c), "--keep", "1,3")
         assert code == 0
         assert json.loads(out)["facets"] == [["a", "c"]]
+
+
+class TestStdinDefaults:
+    """A subcommand whose one input is omitted reads it from stdin, so the
+    output is the same as with the file named."""
+
+    def _both(self, capsys, monkeypatch, path, *argv):
+        code, from_file = run_cli(capsys, *argv[:2], str(path), *argv[2:])
+        assert code == 0
+        monkeypatch.setattr(sys, "stdin", io.StringIO(path.read_text()))
+        code, from_stdin = run_cli(capsys, *argv)
+        assert code == 0
+        return from_file, from_stdin
+
+    def test_order_complex(self, capsys, monkeypatch, tmp_path):
+        b = tmp_path / "b.json"
+        run_cli(capsys, "-o", str(b), "family", "boolean", "--n", "3")
+        from_file, from_stdin = self._both(capsys, monkeypatch, b, "complex", "order-complex")
+        assert from_stdin == from_file
+        assert len(json.loads(from_stdin)["facets"]) == 6
+
+    def test_subdivision(self, capsys, monkeypatch, tmp_path):
+        k = tmp_path / "k.json"
+        k.write_text('{"vertices": ["a", "b"], "facets": [["a", "b"]]}')
+        from_file, from_stdin = self._both(capsys, monkeypatch, k, "complex", "subdivision")
+        assert from_stdin == from_file
+        assert len(json.loads(from_stdin)["facets"]) == 2
+
+    def test_type_select(self, capsys, monkeypatch, tmp_path):
+        k = tmp_path / "k.json"
+        k.write_text('{"vertices": ["a", "b", "c"], "facets": [["a", "b", "c"]]}')
+        c = tmp_path / "c.json"
+        c.write_text('{"colors": {"a": 1, "b": 2, "c": 3}}')
+        from_file, from_stdin = self._both(capsys, monkeypatch, k, "complex", "type-select",
+                                           "--colors", str(c), "--keep", "1,3")
+        assert from_stdin == from_file
+        assert json.loads(from_stdin)["facets"] == [["a", "c"]]
+
+    def test_rank_select(self, capsys, monkeypatch, tmp_path):
+        b = tmp_path / "b.json"
+        run_cli(capsys, "-o", str(b), "family", "boolean", "--n", "3")
+        from_file, from_stdin = self._both(capsys, monkeypatch, b, "construct", "rank-select",
+                                           "--ranks", "1,2")
+        assert from_stdin == from_file
+        assert len(poset_from_json(from_stdin)) == 6
+
+
+def readme_shell_commands():
+    """The commands of README's ``sh`` block under "Command line"."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"## Command line.*?```sh\n(.*?)```", text, re.S).group(1)
+    return [line for line in block.splitlines() if line.strip()]
+
+
+class TestReadmePipelines:
+    def test_readme_commands_run(self, tmp_path):
+        # every quoted command runs as written, with the package's module
+        # standing in for the installed script, in order in one directory
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        cli = f"{sys.executable} -m posettop.cli"
+        outputs = []
+        for line in readme_shell_commands():
+            command = re.sub(r"\bposettop\b", cli, line)
+            done = subprocess.run(command, shell=True, cwd=tmp_path, env=env,
+                                  capture_output=True, text=True, timeout=120)
+            assert done.returncode == 0, (line, done.stderr)
+            outputs.append(done.stdout)
+        cm_b3, _, r4, cm_select, k3, koszul, falling = outputs
+        assert cm_b3.strip() == "Cohen-Macaulay over Q"
+        assert (tmp_path / "r4.json").exists()
+        assert json.loads(r4) == {"coefficients": "Z",
+                                  "dims": {"3": {"betti": 9, "torsion": []}}}
+        assert cm_select.strip() == "Cohen-Macaulay over GF(2)"
+        assert json.loads(k3) == {"coefficients": "Q",
+                                  "dims": {"2": {"betti": 2, "torsion": []}}}
+        assert koszul.startswith("consistent with Koszul up to rank 3 over Q")
+        assert json.loads(falling) == {"n": 4, "falling_chains": 211}

@@ -29,6 +29,7 @@ from posettop.posets import (
     build_poset,
     find_isomorphism,
     is_isomorphic,
+    iter_bits,
     mobius,
     rank_map,
     require_rank_info,
@@ -37,11 +38,12 @@ from posettop.posets import (
 from posettop import constructions
 from construction_oracle import (
     pairwise_pullback,
+    reference_poset_from_order,
     reference_fiber_ideal,
     reference_rees,
     reference_segre,
 )
-from test_posets import boolean_lattice, naive_mobius
+from test_posets import boolean_lattice, naive_mobius, random_poset
 
 
 def two_chain():
@@ -475,6 +477,25 @@ class TestMaskConstructionsMatchOracles:
         slack = lambda p, q: table[p, q]  # noqa: E731
         assert same_poset(constructions._pullback(P, Q, slack),
                           pairwise_pullback(P, Q, slack))
+
+    def test_poset_from_order_covers(self):
+        # labels and covers as the down-set construction finds them, also
+        # when the index order is not a linear extension
+        rng = random.Random(13)
+        posets = [random_poset(rng, rng.randint(0, 14), rng.choice([0.2, 0.4, 0.7]))
+                  for _ in range(40)]
+        posets += [minors(4), rees_deranged(4), subword(4)]
+        for P in posets:
+            perm = list(range(len(P)))
+            rng.shuffle(perm)
+            for order in (range(len(P)), perm):
+                at = {i: k for k, i in enumerate(order)}
+                labels = [P.labels[i] for i in order]
+                above = [sum(1 << at[j] for j in iter_bits(P.above_masks()[i]))
+                         for i in order]
+                got = constructions.poset_from_order(labels, above)
+                ref = reference_poset_from_order(labels, above)
+                assert (got.labels, got.covers) == (ref.labels, ref.covers)
 
     def test_named_families(self):
         B = boolean(4)

@@ -41,6 +41,7 @@ from posettop.posets import build_poset, iter_bits, mobius, open_interval
 
 from homology_oracle import (
     decode_critical_chains,
+    element_keyed_critical_chains,
     elimination_betti,
     reference_critical_chains,
     snf_homology,
@@ -446,6 +447,31 @@ class TestCriticalChains:
                 assert sorted(masks) == list(range(len(crit.size)))
                 assert len(set(masks.values())) == len(masks)
 
+    def test_matches_element_keyed_pass(self):
+        # the place-indexed pass hands out the same ids, in the same order,
+        # as the element-keyed one, on the sweeps' posets and on the dual
+        # divisibility poset of the Koszul test
+        from posettop.constructions import (
+            boolean, boolean_minus_bottom, chain, fiber_ideal, rees,
+            rees_deranged, subword, weighted_segre)
+        from posettop.posets import augment, dual, rank_map
+        from posettop.semigroups import (
+            _divisibility_poset, natural_semigroup, punctured_veronese_semigroup,
+            rees_semigroup)
+        S = rees_semigroup(punctured_veronese_semigroup(3), natural_semigroup(2))
+        T = _divisibility_poset(S, [x for layer in S.enumerate_up_to(3) for x in layer])
+        posets = [augment(boolean(5)), augment(subword(5)), augment(rees_deranged(5)),
+                  augment(fiber_ideal(5, range(1, 6), 3).poset),
+                  augment(weighted_segre(boolean(4), boolean(3), rank_map(boolean(3))).poset),
+                  augment(rees(boolean_minus_bottom(4), chain(4))), dual(T)]
+        for P in posets:
+            for y in range(len(P)):
+                crit, ref = _critical_chains(P, y), element_keyed_critical_chains(P, y)
+                assert list(crit.chains.items()) == list(ref.chains.items())
+                assert crit.size == ref.size
+                assert ([(w, list(e.items())) for w, e in crit.ext.items()]
+                        == [(w, list(e.items())) for w, e in ref.ext.items()])
+
     def test_alternating_count_is_mobius(self):
         # the matching pairs off every chain it leaves uncritical, so the
         # critical chains have the reduced Euler characteristic: mu by Hall
@@ -544,7 +570,7 @@ class TestCriticalChains:
         from posettop.constructions import subword
         from posettop.posets import augment
         A = augment(subword(6))
-        A.above_positions(), A.below_masks()  # the order data is not measured
+        A.above_positions(), A.below_positions()  # the order data is not measured
         tracemalloc.start()
         try:
             crit = _critical_chains(A, len(A) - 1)

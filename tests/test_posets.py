@@ -141,6 +141,16 @@ class TestBuildPoset:
                 assert {order[p] for p in iter_bits(up[i])} == set(iter_bits(above[i]))
             assert P.above_positions() is up
 
+    def test_below_positions_are_below_masks_by_place(self):
+        rng = random.Random(11)
+        for _ in range(30):
+            P = random_poset(rng, rng.randint(0, 12))
+            order, below = P.topo_order(), P.below_masks()
+            down = P.below_positions()
+            for i in range(len(P)):
+                assert {order[p] for p in iter_bits(down[i])} == set(iter_bits(below[i]))
+            assert P.below_positions() is down
+
     def test_cycle_rejected(self):
         with pytest.raises(PosetError, match="cycle"):
             build_poset(["a", "b"], [("a", "b"), ("b", "a")])
