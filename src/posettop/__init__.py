@@ -121,15 +121,35 @@ from .semigroups import (
     semigroup_to_data,
     semigroup_to_json,
 )
-from .permutations import (
-    FlagVector,
-    ascent_set,
-    derangements,
-    descent_set,
-    falling_chains_segre_square,
-    flag_vector_boolean,
-    no_common_ascent_pairs,
-)
-from .verification import VerificationReport, run_verification
 
 __version__ = "0.1.0"
+
+# ``permutations`` and ``verification`` load on first use of a name they
+# export (PEP 562): most callers need neither, and they are a large part
+# of the package's import time.
+_LAZY = {
+    **dict.fromkeys(("FlagVector", "ascent_set", "derangements", "descent_set",
+                     "falling_chains_segre_square", "flag_vector_boolean",
+                     "no_common_ascent_pairs"), "permutations"),
+    **dict.fromkeys(("VerificationReport", "run_verification"), "verification"),
+}
+
+
+def __getattr__(name):
+    from importlib import import_module
+    if name in ("permutations", "verification"):
+        return import_module(f"{__name__}.{name}")
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{_LAZY[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_LAZY})
+
+
+# every name ``import *`` gave when all submodules loaded eagerly
+__all__ = [name for name in globals() if not name.startswith("_")] + \
+    ["permutations", "verification", *_LAZY]

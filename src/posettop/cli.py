@@ -39,12 +39,6 @@ from .constructions import (
     subword,
 )
 from .homology import homology, parse_coefficients, summary_to_data
-from .permutations import (
-    derangements,
-    falling_chains_segre_square,
-    flag_vector_boolean,
-    no_common_ascent_pairs,
-)
 from .posets import PosetError, poset_from_json, poset_to_json, rank_map
 from .semigroups import (
     koszul_necessary_test,
@@ -53,7 +47,6 @@ from .semigroups import (
     semigroup_from_json,
     semigroup_to_json,
 )
-from .verification import run_verification
 
 
 def _coefficients(value: str):
@@ -67,6 +60,13 @@ def _positive_int(value: str) -> int:
     n = int(value)
     if n <= 0:
         raise argparse.ArgumentTypeError("must be positive")
+    return n
+
+
+def _rank_bound(value: str) -> int:
+    n = int(value)
+    if n < 2:
+        raise argparse.ArgumentTypeError("must be at least 2")
     return n
 
 
@@ -191,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = ssub.add_parser("koszul-test", parents=[out])
     p.add_argument("semigroup", nargs="?", default="-",
                    help="semigroup JSON file (default: stdin)")
-    p.add_argument("--max-rank", type=_positive_int, required=True)
+    p.add_argument("--max-rank", type=_rank_bound, required=True)
     p.add_argument("--field", type=_coefficients, default="q")
     p = ssub.add_parser("natural", parents=[out])
     p.add_argument("--d", type=_positive_int, required=True)
@@ -316,6 +316,12 @@ def _cmd_semigroup(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
+    from .permutations import (
+        derangements,
+        falling_chains_segre_square,
+        flag_vector_boolean,
+        no_common_ascent_pairs,
+    )
     n = args.n
     if args.statistic == "derangements":
         payload = {"n": n, "derangements": derangements(n)}
@@ -348,6 +354,7 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .verification import run_verification
     cap = args.max_n
 
     def bound(explicit, default):

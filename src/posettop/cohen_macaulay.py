@@ -30,6 +30,8 @@ order complex, fixes torsion and the failure text.  The Koszul test of
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
+from operator import itemgetter, sub
 from typing import Optional, Sequence, Union
 
 from .complexes import order_complex
@@ -125,31 +127,42 @@ def _interval_items(P: Poset):
     Intervals of rank gap 3 and up are decided inline, on the chain sizes
     (``homology._chains_in_dim``'s test); only an interval with a
     critical chain of another size goes to ``_interval_homology``.
+
+    ``augment`` hands over the rank data of a pure ``P``.  A pass keys
+    every element below its upper element, so the passes, taken in index
+    order, also list the upper elements of each lower one in index order
+    (the down-sets of ranks 1 and 2 are read from their masks); each
+    lower element's items are then zipped together from those lists.
     """
     A = augment(P)
     info = rank_info(A)
     if isinstance(info, PurityFailure):
         raise PosetError("interval analysis needs a pure poset")
-    rank = [info.rank[x] for x in A.labels]
-    above = A.above_masks()
-    n = len(A.labels)
-    summaries = {}
-    for j in range(n):
-        if rank[j] < 3:
+    labels, below = A.labels, A.below_masks()
+    rank = list(map(info.rank.__getitem__, labels))
+    ups: list[list[int]] = [[] for _ in labels]  # the j above each i, ascending
+    summaries: dict[int, dict] = {}  # by lower index, then upper index
+    for j, r in enumerate(rank):
+        if r < 3:
+            for i in iter_bits(below[j]):
+                ups[i].append(j)
             continue
-        crit = _critical_chains(A, j)
+        crit = _critical_chains(A, j)  # every i below j is a key
         size = crit.size
         for i, chains in crit.chains.items():
-            k = rank[j] - rank[i] - 1  # elements of a chain in dimension gap - 2
+            ups[i].append(j)
+            k = r - rank[i] - 1  # elements of a chain in dimension gap - 2
             if k > 1:
                 for c in chains:
                     if size[c] != k:
-                        summaries[i, j] = _interval_homology(A, i, j, map(size.__getitem__, chains))
+                        summaries.setdefault(i, {})[j] = _interval_homology(
+                            A, i, j, map(size.__getitem__, chains))
                         break
-    for i in range(n):
-        for j in iter_bits(above[i]):
-            gap = rank[j] - rank[i]
-            yield (A.labels[i], A.labels[j], gap, summaries.get((i, j)))
+    for i, js in enumerate(ups):
+        row = summaries.get(i)
+        yield from zip(repeat(labels[i]), map(labels.__getitem__, js),
+                       map(sub, map(rank.__getitem__, js), repeat(rank[i])),
+                       repeat(None) if row is None else map(row.get, js))
 
 
 def _interval_homology(A: Poset, i: int, j: int, sizes) -> HomologySummary:
@@ -217,9 +230,8 @@ def is_cm_poset(P: Poset, coeffs: CoeffSpec = "Q", use_cache: bool = True) -> CM
     if isinstance(info, PurityFailure):
         return CMReport(False, name, purity_witness=info)
     failures = []
-    for (x, y, gap, summary) in _interval_items(P):
-        if summary is None:
-            continue
+    # only items with a summary can fail; the others carry None
+    for (x, y, gap, summary) in filter(itemgetter(3), _interval_items(P)):
         bad = _summary_violations(summary, gap, mode)
         if bad:
             failures.append(CMFailure(x, y, gap - 2, "; ".join(bad)))

@@ -504,6 +504,12 @@ def _cascade(cx: _CellComplex) -> list[bytearray]:
     one removes nothing.  A layer loses cells only in its own pass and the
     next layer's, so the first sweep finds each layer all alive and reads
     its rows straight from ``boundary[k]``, with no search and no slice.
+
+    Facets only die, so a live cell seen with no live facet never
+    coreduces: its flag becomes 2 (alive, stuck), which the later sweeps'
+    search for 1 skips, and every 2 is turned back into 1 at the end.
+    Skipping such a cell changes no decision, as its visit would have
+    changed nothing.
     """
     alive = [bytearray([1]) * n for n in cx.sizes]
     removed = False
@@ -513,7 +519,9 @@ def _cascade(cx: _CellComplex) -> list[bytearray]:
         for j, row in enumerate(zip(*[iter(cx.boundary[k])] * k)):
             facets = filter(live, row)
             i = next(facets, -1)
-            if i >= 0 and next(facets, -1) < 0:
+            if i < 0:
+                flags[j] = 2
+            elif next(facets, -1) < 0:
                 flags[j] = below[i] = 0
                 removed = True
     while removed:
@@ -525,10 +533,17 @@ def _cascade(cx: _CellComplex) -> list[bytearray]:
             while j >= 0:
                 facets = filter(live, bnd[j * k:j * k + k])
                 i = next(facets, -1)
-                if i >= 0 and next(facets, -1) < 0:  # i is the one live facet
+                if i < 0:
+                    flags[j] = 2
+                elif next(facets, -1) < 0:  # i is the one live facet
                     flags[j] = below[i] = 0
                     removed = True
                 j = flags.find(1, j + 1)
+    for flags in alive:
+        j = flags.find(2)
+        while j >= 0:
+            flags[j] = 1
+            j = flags.find(2, j + 1)
     return alive
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain, count, repeat
 from typing import Any, Hashable, Iterable, Iterator, Mapping, Optional, Sequence
 
 
@@ -84,7 +85,7 @@ class Poset:
 
     __slots__ = (
         "labels",
-        "covers",
+        "_covers",
         "_index",
         "_up_adj",
         "_down_adj",
@@ -116,11 +117,26 @@ class Poset:
                 raise PosetError(f"cycle in the relation at {display_label(labels[i])!r}")
             up[i].append(j)
             down[j].append(i)
+        self._fill(labels, covers, index, [tuple(a) for a in up], [tuple(a) for a in down])
+        if not _validated:
+            self._validate()
+
+    @classmethod
+    def _assemble(cls, labels: tuple, up_adj: list, down_adj: list) -> "Poset":
+        """A poset from distinct labels and adjacency lists of ascending
+        tuples, the form ``__init__`` gives them; ``covers`` is read off
+        ``up_adj`` on first use.  Nothing is checked, and the caller fills
+        in any derived data it already has."""
+        P = cls.__new__(cls)
+        P._fill(labels, None, dict(zip(labels, count())), up_adj, down_adj)
+        return P
+
+    def _fill(self, labels, covers, index, up_adj, down_adj):
         self.labels = labels
-        self.covers = covers
+        self._covers = covers
         self._index = index
-        self._up_adj = [tuple(a) for a in up]
-        self._down_adj = [tuple(a) for a in down]
+        self._up_adj = up_adj
+        self._down_adj = down_adj
         self._above = None
         self._below = None
         self._topo = None
@@ -128,8 +144,13 @@ class Poset:
         self._above_pos = None
         self._below_pos = None
         self._rank_result = None
-        if not _validated:
-            self._validate()
+
+    @property
+    def covers(self) -> tuple[tuple[int, int], ...]:
+        """The cover pairs ``(i, j)``, sorted."""
+        if self._covers is None:
+            self._covers = tuple(chain.from_iterable(map(zip, map(repeat, count()), self._up_adj)))
+        return self._covers
 
     # -- basic protocol ------------------------------------------------
 
@@ -465,18 +486,36 @@ def closed_interval(P: Poset, x, y) -> Poset:
 
 
 def augment(P: Poset) -> Poset:
-    """Adjoin a fresh bottom and top element, even if ``P`` is bounded."""
+    """Adjoin a fresh bottom and top element, even if ``P`` is bounded.
+
+    The bottom gets index 0, ``P``'s elements follow in their order and the
+    top comes last.  Every part of the result is ``P``'s, shifted up one
+    index: the adjacency (already sorted, and so are the covers read off
+    it), the linear extension (the bottom first and the top last), the
+    order masks and, when ``P`` already holds rank data and is pure, the
+    ranks.  So no sort, mask or rank pass is repeated, and nothing new is
+    cached on ``P``; the result's position masks are built on first use.
+    """
     bot, top = Bound("0^"), Bound("1^")
     n = len(P.labels)
-    labels = (bot,) + P.labels + (top,)
-    covers = [(i + 1, j + 1) for (i, j) in P.covers]
-    mins = [i for i in range(n) if not P._down_adj[i]]
-    maxs = [i for i in range(n) if not P._up_adj[i]]
-    covers.extend((0, i + 1) for i in mins)
-    covers.extend((i + 1, n + 1) for i in maxs)
-    if n == 0:
-        covers.append((0, 1))
-    return Poset(labels, covers, _validated=True)
+    t = n + 1
+    succ = (1).__add__
+    up = [tuple(map(succ, a)) or (t,) for a in P._up_adj]
+    down = [tuple(map(succ, a)) or (0,) for a in P._down_adj]
+    mins = tuple(i + 1 for i, a in enumerate(P._down_adj) if not a)
+    maxs = tuple(i + 1 for i, a in enumerate(P._up_adj) if not a)
+    up_adj = [mins or (t,), *up, ()]
+    down_adj = [(), *down, maxs or (0,)]
+    A = Poset._assemble((bot, *P.labels, top), up_adj, down_adj)
+    A._topo = (0, *map(succ, P.topo_order()), t)
+    top_bit = 1 << t
+    A._above = [(top_bit << 1) - 2, *[m << 1 | top_bit for m in P.above_masks()], 0]
+    A._below = [0, *[m << 1 | 1 for m in P.below_masks()], top_bit - 1]
+    info = P._rank_result
+    if isinstance(info, RankInfo):
+        ranks = (0, *map(succ, map(info.rank.__getitem__, P.labels)), info.top_rank + 2)
+        A._rank_result = RankInfo(dict(zip(A.labels, ranks)), info.top_rank + 2)
+    return A
 
 
 def bounds(P: Poset):

@@ -9,25 +9,27 @@ membership and interval structure come from layered enumeration:
 degree-m elements are sums of a degree-(m-1) element and a generator.
 
 One cover rule serves every divisibility poset: a cover adds one
-generator (``_divisibility_poset``).  ``lower_interval`` applies it to
-the elements below one element; the Koszul test applies it once to every
-element up to its rank bound and judges each interval (0, x) inside that
-poset, all from one critical-chain pass over its dual, where (0, x) is
-(x, 0).  Since a cover raises the degree by one, [0, x] is graded by
-degree, so (0, x) is pure and, for deg x >= 2, holds the generators
-below x: the test needs no emptiness or purity check.
+generator.  ``lower_interval`` applies it to the elements below one
+element (``_divisibility_poset``); the Koszul test applies it once to
+every element up to its rank bound, building the dual order directly
+(``_dual_divisibility_poset``), and judges each interval (0, x) as
+(x, 0) inside that one poset, all from one critical-chain pass.  Since a
+cover raises the degree by one, [0, x] is graded by degree, so (0, x) is
+pure and, for deg x >= 2, holds the generators below x: the test needs
+no emptiness or purity check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from operator import add, sub
+from itertools import chain, count, islice
+from operator import add, lshift, sub
 from typing import Iterable, Optional, Sequence
 
 from .cohen_macaulay import _interval_homology, _summary_violations, cm_coefficient_name
 from .homology import _chains_in_dim, _critical_chains, parse_coefficients
-from .posets import Poset, SizeLimitError, dual, induced_subposet
+from .posets import Poset, SizeLimitError, induced_subposet
 
 DEFAULT_LAYER_CAP = 200_000
 
@@ -209,6 +211,37 @@ def _divisibility_poset(S: HomogeneousSemigroup, labels: Sequence[Vector]) -> Po
     return Poset(tuple(labels), covers, _validated=True)
 
 
+def _dual_divisibility_poset(S: HomogeneousSemigroup, layers: Sequence[Sequence[Vector]]) -> Poset:
+    """``dual(_divisibility_poset(S, labels))`` for ``labels`` the complete,
+    sorted layers 0..r of ``S``, built in one go: the same labels, covers
+    and adjacency, so the same ``topo_order()``.
+
+    In the divisibility order each element below layer r is covered by its
+    sum with each generator, and no element of layer r is covered; the
+    dual swaps the two adjacency lists.  Each vector is packed into one
+    int, a coordinate per field wide enough for layer r, so a sum of
+    vectors is a sum of ints with no carry between fields.  Adding the
+    sorted generators to a vector keeps their order, and a layer is
+    sorted, so each element's covers come out ascending.
+    """
+    labels = tuple(chain.from_iterable(layers))
+    width = ((len(layers) - 1) * max(map(max, S.generators))).bit_length()
+    shifts = range(0, width * S.dim, width)
+
+    def pack(v):
+        return sum(map(lshift, v, shifts))
+    index = dict(zip(map(pack, labels), count()))
+    gens = list(map(pack, S.generators))
+    up = [tuple(map(index.__getitem__, map(key.__add__, gens)))
+          for key in islice(index, len(labels) - len(layers[-1]))]
+    up += [()] * len(layers[-1])
+    down: list[list[int]] = [[] for _ in labels]
+    for i, js in enumerate(up):
+        for j in js:
+            down[j].append(i)
+    return Poset._assemble(labels, up_adj=list(map(tuple, down)), down_adj=up)
+
+
 def lower_interval(S: HomogeneousSemigroup, element: Iterable[int]) -> Poset:
     """Divisibility interval [0, element] as a poset; elements are the
     semigroup members below ``element`` by degree, then lexicographically,
@@ -276,15 +309,16 @@ def koszul_necessary_test(S: HomogeneousSemigroup, max_rank: int,
     """Test the Koszul interval criterion for all elements of degree at
     most ``max_rank`` (which must be at least 2).
 
-    One divisibility poset holds every element of degree at most
-    ``max_rank``; each interval (0, x) is judged inside it by the
+    One poset, the dual of the divisibility order on every element of
+    degree at most ``max_rank``, is built; each interval (0, x) is judged
+    inside it as (x, 0), which has the same order complex, by the
     Cohen-Macaulay sweep's rule with rank gap ``m`` for an element of
     degree ``m``.  Every generator has degree one, so a cover adds one
     generator and [0, x] is graded by degree: the interval is pure, and
     for ``m >= 2`` nonempty, so neither needs a check.  A degree-2
     interval is an antichain and passes without a homology computation.
-    One pass of ``_critical_chains`` over the dual poset, where (0, x) is
-    (x, 0), gives the critical chains of every (0, x) at once.  An
+    One pass of ``_critical_chains`` down from the zero element, the
+    dual's top, gives the critical chains of every (x, 0) at once.  An
     interval whose critical chains all sit in dimension ``m - 2`` has
     free homology there only and passes without a homology summary; any
     other goes to ``_interval_homology`` and the sweep's rule.
@@ -294,22 +328,23 @@ def koszul_necessary_test(S: HomogeneousSemigroup, max_rank: int,
     mode = parse_coefficients(coeffs)
     name = cm_coefficient_name(mode)
     layers = S.enumerate_up_to(max_rank)
-    T = _divisibility_poset(S, [x for layer in layers for x in layer])
-    crit = _critical_chains(dual(T), 0)  # index 0 is the zero element
-    checked, runs = len(layers[2]), 0
+    D = _dual_divisibility_poset(S, layers)
+    crit = _critical_chains(D, 0)  # index 0 is the zero element
+    first = len(layers[0]) + len(layers[1]) + len(layers[2])  # first index of degree 3
+    j = first
     for m in range(3, max_rank + 1):
         for lam in layers[m]:
-            checked += 1
-            runs += 1
-            j = T.index(lam)
-            if _chains_in_dim(crit.sizes(j), m - 2):
-                continue
-            bad = _summary_violations(_interval_homology(T, 0, j, crit.sizes(j)), m, mode)
-            if bad:
-                return KoszulReport(False, max_rank, name, witness=(lam, "; ".join(bad)),
-                                    elements_checked=checked, homology_runs=runs)
+            if not _chains_in_dim(crit.sizes(j), m - 2):
+                bad = _summary_violations(_interval_homology(D, j, 0, crit.sizes(j)), m, mode)
+                if bad:
+                    runs = j - first + 1
+                    return KoszulReport(False, max_rank, name, witness=(lam, "; ".join(bad)),
+                                        elements_checked=len(layers[2]) + runs,
+                                        homology_runs=runs)
+            j += 1
+    runs = j - first
     return KoszulReport(True, max_rank, name,
-                        elements_checked=checked, homology_runs=runs)
+                        elements_checked=len(layers[2]) + runs, homology_runs=runs)
 
 
 # -- gradings and product semigroups ---------------------------------------

@@ -11,7 +11,9 @@ each layer, without the chain tree's index arithmetic.
 ``reference_critical_chains`` runs the critical-chain recursion over
 every element of each interval, critical chains or none, on bitmasks;
 ``decode_critical_chains`` turns the engine's chain ids into the same
-bitmasks.  ``element_keyed_critical_chains`` is the engine's pass with
+bitmasks.  ``revisiting_cascade`` is the engine's coreduction sweeps
+without the skip of stuck cells: every sweep visits every live cell, so
+the alive flags it returns must equal the engine's.  ``element_keyed_critical_chains`` is the engine's pass with
 its state in dicts keyed by element, the elements sorted by position and
 ``M = W & C`` built at every step: the engine's chains, sizes and ids
 must equal its.
@@ -147,3 +149,33 @@ def element_keyed_critical_chains(P, y) -> _CriticalChains:
     for c in chain.from_iterable(ext.values()):
         size.append(size[c] + 1)
     return _CriticalChains(crit, size, ext)
+
+
+def revisiting_cascade(cx) -> list[bytearray]:
+    """``homology._cascade`` as it was before live cells with no live facet
+    were marked stuck: every later sweep visits every live cell again."""
+    alive = [bytearray([1]) * n for n in cx.sizes]
+    removed = False
+    for k in range(1, len(alive)):  # the first sweep
+        flags, below = alive[k], alive[k - 1]
+        live = below.__getitem__
+        for j, row in enumerate(zip(*[iter(cx.boundary[k])] * k)):
+            facets = filter(live, row)
+            i = next(facets, -1)
+            if i >= 0 and next(facets, -1) < 0:
+                flags[j] = below[i] = 0
+                removed = True
+    while removed:
+        removed = False
+        for k in range(1, len(alive)):
+            flags, below, bnd = alive[k], alive[k - 1], cx.boundary[k]
+            live = below.__getitem__
+            j = flags.find(1)
+            while j >= 0:
+                facets = filter(live, bnd[j * k:j * k + k])
+                i = next(facets, -1)
+                if i >= 0 and next(facets, -1) < 0:  # i is the one live facet
+                    flags[j] = below[i] = 0
+                    removed = True
+                j = flags.find(1, j + 1)
+    return alive

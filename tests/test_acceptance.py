@@ -6,6 +6,7 @@ in one process (the n = 6 table row dominates; the report took 11.4 s in
 one run on a 2-core Intel Xeon host with Python 3.11).
 """
 
+import hashlib
 import os
 
 import pytest
@@ -142,6 +143,16 @@ def test_criterion_8_homology_oracles(report):
     assert any("100 random posets" in r.name for r in rows)
     assert any("projective plane" in r.name for r in rows)
     _announce(8, "homology engine oracle suite exact", ok)
+
+
+# md5 of the evidence payload, the same bytes ``posettop verify-paper
+# --format json`` writes at its default bounds; a deliberate change to the
+# payload updates it and says why
+PAYLOAD_MD5 = "8f8a8751d70186354eb659951c4b1e31"
+
+
+def test_payload_is_byte_identical(report):
+    assert hashlib.md5(report.to_json().encode()).hexdigest() == PAYLOAD_MD5
 
 
 def test_overall(report):

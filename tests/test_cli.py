@@ -186,6 +186,14 @@ class TestSemigroup:
         assert code == 0
         assert "consistent with Koszul up to rank 3" in out
 
+    @pytest.mark.parametrize("rank", ["1", "0"])
+    def test_rank_bound_below_two_is_a_usage_error(self, capsys, rank):
+        # the library needs max_rank >= 2; the usage error names that bound
+        with pytest.raises(SystemExit) as exc:
+            main(["semigroup", "koszul-test", "--max-rank", rank])
+        assert exc.value.code == 2
+        assert "argument --max-rank: must be at least 2" in capsys.readouterr().err
+
     def test_interval_emission(self, capsys, tmp_path):
         s = tmp_path / "s.json"
         run_cli(capsys, "-o", str(s), "semigroup", "natural", "--d", "2")
@@ -381,6 +389,31 @@ class TestStdinDefaults:
                                            "--ranks", "1,2")
         assert from_stdin == from_file
         assert len(poset_from_json(from_stdin)) == 6
+
+
+class TestLazyImports:
+    def test_verification_and_permutations_load_on_first_use(self):
+        # neither the package nor the CLI imports them until a name they
+        # export is used; then the name resolves as an eager import did
+        script = (
+            "import sys, posettop, posettop.cli\n"
+            "lazy = ['posettop.permutations', 'posettop.verification']\n"
+            "assert not any(m in sys.modules for m in lazy)\n"
+            "assert {'derangements', 'run_verification'} <= set(dir(posettop))\n"
+            "assert posettop.derangements(4) == 9\n"
+            "from posettop import VerificationReport, run_verification\n"
+            "from posettop.verification import run_verification as direct\n"
+            "assert run_verification is direct\n"
+            "assert all(m in sys.modules for m in lazy)\n"
+            "names = {}\n"
+            "exec('from posettop import *', names)\n"
+            "assert {'FlagVector', 'is_cm_poset', 'verification'} <= set(names)\n")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
 
 
 def readme_shell_commands():

@@ -6,6 +6,8 @@ from posettop import cohen_macaulay
 from posettop.cohen_macaulay import (
     CMFailure,
     CMReport,
+    _interval_homology,
+    _interval_items,
     _summary_violations,
     cm_preservation_suite,
     cm_report_to_data,
@@ -30,14 +32,16 @@ from posettop.constructions import (
     subword,
     weighted_segre,
 )
-from posettop.homology import integral_homology, parse_coefficients
+from posettop.homology import _critical_chains, integral_homology, parse_coefficients
 from posettop.posets import (
     PosetError,
+    PurityFailure,
     augment,
     build_poset,
     iter_bits,
     open_interval,
     rank_info,
+    rank_map,
 )
 
 from test_homology import projective_plane
@@ -59,6 +63,29 @@ def reference_cm_failures(P, mode):
             if bad:
                 failures.append(CMFailure(x, y, gap - 2, "; ".join(bad)))
     return tuple(failures)
+
+
+def per_pair_interval_items(P):
+    """``_interval_items`` as it yielded its items one pair at a time: the
+    pairs found by walking each element's up-set mask, the summaries
+    keyed by pair."""
+    A = augment(P)
+    info = rank_info(A)
+    if isinstance(info, PurityFailure):
+        raise PosetError("interval analysis needs a pure poset")
+    rank = [info.rank[x] for x in A.labels]
+    summaries = {}
+    for j in range(len(A)):
+        if rank[j] < 3:
+            continue
+        crit = _critical_chains(A, j)
+        for i, chains in crit.chains.items():
+            k = rank[j] - rank[i] - 1
+            if k > 1 and any(crit.size[c] != k for c in chains):
+                summaries[i, j] = _interval_homology(A, i, j, crit.sizes(i))
+    for i in range(len(A)):
+        for j in iter_bits(A.above_masks()[i]):
+            yield (A.labels[i], A.labels[j], rank[j] - rank[i], summaries.get((i, j)))
 
 
 def disjoint_chains():
@@ -127,6 +154,25 @@ class TestIsCMPoset:
                 assert r.verdict == (not failures)
                 # augment's fresh bounds compare by identity, so compare text
                 assert [str(x) for x in r.failures] == [str(x) for x in failures]
+
+    def test_items_match_the_per_pair_generator(self):
+        # the same items in the same order; the fresh bounds compare by
+        # identity, so labels compare as text
+        rng = random.Random(31)
+        corpus = [random_pure_bounded_poset(rng) for _ in range(40)]
+        corpus += [disjoint_chains(), face_poset(projective_plane()), boolean_top_first(4),
+                   boolean(5), subword(4), rees_deranged(4), wide_poset(40),
+                   weighted_segre(boolean(3), boolean(3), rank_map(boolean(3))).poset,
+                   rees(boolean_minus_bottom(4), chain(4))]
+        summarised = 0
+        for P in corpus:
+            got = [(str(x), str(y), gap, s) for x, y, gap, s in _interval_items(P)]
+            want = [(str(x), str(y), gap, s) for x, y, gap, s in per_pair_interval_items(P)]
+            assert got == want
+            summarised += any(s is not None for *_, s in want)
+        assert summarised >= 2  # RP^2 and the disjoint chains among them
+        with pytest.raises(PosetError):
+            list(_interval_items(build_poset("abc", [("a", "b")])))
 
     def test_engine_only_where_critical_chains_touch(self, monkeypatch):
         computed = []

@@ -44,6 +44,7 @@ from homology_oracle import (
     element_keyed_critical_chains,
     elimination_betti,
     reference_critical_chains,
+    revisiting_cascade,
     snf_homology,
     tuple_cell_complex,
 )
@@ -343,6 +344,16 @@ class TestCascade:
         total = sum(a.count(1) for _ in range(200)
                     for a in _cascade(_cell_complex(random_complex(rng))))
         assert total == 91
+
+    def test_stuck_cells_skipped_exactly(self):
+        # skipping the cells with no live facet leaves every alive flag as
+        # the sweeps that revisit every live cell leave it
+        from posettop.constructions import fiber_ideal, rees_deranged, subword
+        posets = [fiber_ideal(5, range(1, 6), 3).poset, subword(5), rees_deranged(6)]
+        posets += [f(n) for n in (3, 4) for f in (rees_deranged, subword)]  # field-betti's
+        for K in engine_corpus() + [order_complex(P) for P in posets]:
+            cx = _cell_complex(K)
+            assert _cascade(cx) == revisiting_cascade(cx), K.facets[:3]
 
     def test_no_coreduction_is_left(self):
         # at the fixpoint no live cell has exactly one live facet

@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from posettop.constructions import boolean
+from posettop.constructions import boolean, rees_deranged, subword
 from posettop.posets import (
     Bound,
     ImpurePosetError,
@@ -277,7 +277,58 @@ class TestIntervals:
         assert set(S.cover_pairs()) == {((), (1,)), ((1,), (1, 2)), ((1, 2), (1, 2, 3))}
 
 
+def rebuilt_augment(P, labels):
+    """``augment(P)``'s poset on ``labels`` as it was built before it
+    shifted ``P``'s data: the bounds' covers are appended to ``P``'s
+    shifted ones, and a fresh ``Poset`` sorts them and derives the rest."""
+    n = len(P)
+    covers = [(i + 1, j + 1) for (i, j) in P.covers]
+    covers += [(0, i + 1) for i in range(n) if not P._down_adj[i]]
+    covers += [(i + 1, n + 1) for i in range(n) if not P._up_adj[i]]
+    if n == 0:
+        covers.append((0, 1))
+    return Poset(labels, covers, _validated=True)
+
+
+def augment_corpus():
+    """607 posets: curated ones (the empty poset, an antichain, one whose
+    index order is not a linear extension), 300 random pure bounded posets
+    and 300 random relations on shuffled labels, antichains and impure
+    posets included."""
+    rng = random.Random(23)
+    corpus = [build_poset([], []), build_poset(["p"], []), build_poset("xyz", []),
+              boolean(4), boolean_top_first(4), subword(4), rees_deranged(4)]
+    corpus += [random_pure_bounded_poset(rng) for _ in range(300)]
+    for _ in range(300):
+        P = random_poset(rng, rng.randint(0, 10), rng.random())
+        labels = list(P.labels)
+        rng.shuffle(labels)
+        corpus.append(build_poset(labels, P.cover_pairs()))
+    return corpus
+
+
 class TestAugment:
+    def test_shifted_data_matches_a_rebuilt_poset(self):
+        corpus = augment_corpus()
+        assert len(corpus) == 607
+        impure = 0
+        for P in corpus:
+            pure = len(P) > 0 and is_pure(P)  # caches P's rank data
+            impure += len(P) > 0 and not pure
+            A = augment(P)
+            R = rebuilt_augment(P, A.labels)
+            assert A.labels[1:-1] == P.labels
+            assert A.covers == R.covers
+            assert (A._up_adj, A._down_adj, A._index) == (R._up_adj, R._down_adj, R._index)
+            assert A.topo_order() == R.topo_order()
+            assert (A.above_masks(), A.below_masks()) == (R.above_masks(), R.below_masks())
+            assert A.above_positions() == R.above_positions()
+            assert A.below_positions() == R.below_positions()
+            # rank data is shifted only from a pure P's, else derived on use
+            assert (A._rank_result is not None) == pure
+            assert rank_info(A) == rank_info(R)
+        assert impure > 50
+
     def test_antichain_becomes_diamond(self):
         P = build_poset(["x", "y"], [])
         A = augment(P)

@@ -11,7 +11,12 @@ from posettop.cohen_macaulay import (
 )
 from posettop.complexes import order_complex
 from posettop.constructions import boolean, chain, rees, weighted_segre
-from posettop.homology import _critical_chains, integral_homology, parse_coefficients
+from posettop.homology import (
+    _chains_in_dim,
+    _critical_chains,
+    integral_homology,
+    parse_coefficients,
+)
 from posettop.posets import (
     PurityFailure,
     dual,
@@ -95,6 +100,59 @@ def reference_koszul(S, max_rank, coeffs):
                 return KoszulReport(False, max_rank, name, witness=(lam, "; ".join(bad)),
                                     elements_checked=checked, homology_runs=runs)
     return KoszulReport(True, max_rank, name, elements_checked=checked, homology_runs=runs)
+
+
+def two_poset_koszul(S, max_rank, coeffs):
+    """The Koszul test as it ran on two posets: the divisibility poset,
+    then its ``dual`` for the one critical-chain pass, with (0, x) judged
+    inside the divisibility poset."""
+    mode = parse_coefficients(coeffs)
+    name = cm_coefficient_name(mode)
+    layers = S.enumerate_up_to(max_rank)
+    T = semigroups._divisibility_poset(S, [x for layer in layers for x in layer])
+    crit = _critical_chains(dual(T), 0)
+    checked, runs = len(layers[2]), 0
+    for m in range(3, max_rank + 1):
+        for lam in layers[m]:
+            checked += 1
+            runs += 1
+            j = T.index(lam)
+            if _chains_in_dim(crit.sizes(j), m - 2):
+                continue
+            summary = semigroups._interval_homology(T, 0, j, crit.sizes(j))
+            bad = _summary_violations(summary, m, mode)
+            if bad:
+                return KoszulReport(False, max_rank, name, witness=(lam, "; ".join(bad)),
+                                    elements_checked=checked, homology_runs=runs)
+    return KoszulReport(True, max_rank, name, elements_checked=checked, homology_runs=runs)
+
+
+def benchmark_semigroups():
+    """(name, semigroup, max rank): the interval-sweeps benchmark's 17
+    Koszul questions, then the non-Koszul semigroup."""
+    N = natural_semigroup
+
+    def segre(S, T, g):
+        view = segre_semigroup(S, T, g)
+        gens = [x + y for (x, y) in view.enumerate_up_to(1)[1]]
+        return build_semigroup(gens, weight=(0,) * S.dim + T.weight, scale=T.scale)
+    return [
+        ("N^2", N(2), 5), ("N^3", N(3), 4), ("N^4", N(4), 5), ("N^5", N(5), 4),
+        ("Veronese(2,2)", veronese_semigroup(2, 2), 5),
+        ("Veronese(2,3)", veronese_semigroup(2, 3), 4),
+        ("Veronese(3,2)", veronese_semigroup(3, 2), 5),
+        ("Veronese(3,3)", veronese_semigroup(3, 3), 4),
+        ("Veronese(4,2)", veronese_semigroup(4, 2), 3),
+        ("pinched Veronese(3,3)", punctured_veronese_semigroup(3), 4),
+        ("Segre N^2 x N^2, g = deg", segre(N(2), N(2), (1, 1)), 4),
+        ("Segre N^2 x N^2, g = 2 deg", segre(N(2), N(2), (2, 2)), 3),
+        ("Segre N^3 x N^2, g = deg", segre(N(3), N(2), (1, 1)), 3),
+        ("Rees N^2 * N", rees_semigroup(N(2), N(1)), 4),
+        ("Rees N^3 * N", rees_semigroup(N(3), N(1)), 4),
+        ("Rees Veronese(2,2) * N", rees_semigroup(veronese_semigroup(2, 2), N(1)), 4),
+        ("Rees Veronese(3,2) * N", rees_semigroup(veronese_semigroup(3, 2), N(1)), 3),
+        ("non-Koszul", build_semigroup([(3, 0), (2, 1), (0, 3)]), 3),
+    ]
 
 
 class TestBuild:
@@ -254,6 +312,25 @@ class TestKoszulTest:
                 rep = koszul_necessary_test(make(), r, coeffs)
                 assert rep == reference_koszul(make(), r, coeffs), (name, coeffs)
                 assert rep.passed == koszul, (name, coeffs)
+
+    def test_matches_the_two_poset_path(self):
+        # one dual divisibility poset, built directly, gives the poset, the
+        # critical-chain ids and the reports of the divisibility poset and
+        # its dual
+        cases = benchmark_semigroups()
+        assert len(cases) == 18
+        for name, S, r in cases:
+            layers = S.enumerate_up_to(r)
+            D = semigroups._dual_divisibility_poset(S, layers)
+            T = dual(semigroups._divisibility_poset(S, [x for layer in layers for x in layer]))
+            assert (D.labels, D.covers, D._index) == (T.labels, T.covers, T._index), name
+            assert (D._up_adj, D._down_adj) == (T._up_adj, T._down_adj), name
+            assert D.topo_order() == T.topo_order(), name
+            assert _critical_chains(D, 0) == _critical_chains(T, 0), name
+            for coeffs in ("Q", 2, "z-spherical"):
+                rep = koszul_necessary_test(S, r, coeffs)
+                assert rep == two_poset_koszul(S, r, coeffs), (name, coeffs)
+                assert rep.passed == (name != "non-Koszul"), (name, coeffs)
 
     def test_one_poset_and_engine_only_where_needed(self, monkeypatch):
         def refuse(*args):
