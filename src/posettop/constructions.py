@@ -10,15 +10,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import repeat
 from typing import Iterable, Mapping, Union
 
 from .posets import (
     Poset,
     PosetError,
     PosetMap,
+    _transpose,
     induced_subposet,
-    iter_bits,
+    poset_from_order,
     rank_map,
     require_rank_info,
 )
@@ -36,27 +36,6 @@ def _as_nat_map(P: Poset, f: MapLike, what: str) -> PosetMap:
     return PosetMap(P, f)
 
 
-def poset_from_order(labels, above_masks) -> Poset:
-    """Poset from an explicit strict-order reachability mask list.
-
-    The covers of ``i`` are the bits of its up-set outside the union of
-    the up-sets of its members.  One walk per up-set gathers that union:
-    it takes the lowest member left and drops that member's up-set, whose
-    members' up-sets lie inside it, so when the index order is a linear
-    extension the walk takes one step per cover.
-    """
-    covers = []
-    for i, up in enumerate(above_masks):
-        higher, rest = 0, up
-        while rest:
-            low = rest & -rest
-            a = above_masks[low.bit_length() - 1]
-            higher |= a
-            rest &= ~(a | low)
-        covers.extend(zip(repeat(i), iter_bits(up & ~higher)))
-    return Poset(labels, covers, _validated=True)
-
-
 def product(P: Poset, Q: Poset) -> Poset:
     """Direct product with the componentwise order.
 
@@ -67,16 +46,11 @@ def product(P: Poset, Q: Poset) -> Poset:
     """
     labels = tuple((p, q) for p in P.labels for q in Q.labels)
     nq = len(Q.labels)
-    covers = []
-    # a product cover moves exactly one coordinate along a cover
-    for (i, j) in P.covers:
-        for t in range(nq):
-            covers.append((i * nq + t, j * nq + t))
-    for s in range(len(P.labels)):
-        base = s * nq
-        for (i, j) in Q.covers:
-            covers.append((base + i, base + j))
-    return Poset(labels, covers, _validated=True)
+    # a product cover moves exactly one coordinate along a cover; moving
+    # the second coordinate keeps the first, so its covers come first
+    up = [tuple(i * nq + u for u in Q._up_adj[t]) + tuple(j * nq + t for j in P._up_adj[i])
+          for i in range(len(P.labels)) for t in range(nq)]
+    return Poset._assemble(labels, up)
 
 
 def _pullback(P: Poset, Q: Poset, slack) -> Poset:
@@ -225,18 +199,12 @@ def boolean(n: int) -> Poset:
     if n < 1:
         raise ValueError("need n >= 1")
     import itertools
-    labels = []
-    for k in range(n + 1):
-        labels.extend(itertools.combinations(range(1, n + 1), k))
+    labels = tuple(itertools.chain.from_iterable(
+        itertools.combinations(range(1, n + 1), k) for k in range(n + 1)))
     pos = {lab: i for i, lab in enumerate(labels)}
-    covers = []
-    for lab in labels:
-        present = set(lab)
-        for extra in range(1, n + 1):
-            if extra not in present:
-                upper = tuple(sorted(lab + (extra,)))
-                covers.append((pos[lab], pos[upper]))
-    return Poset(labels, covers, _validated=True)
+    # a subset covers the subsets one element smaller
+    down = [tuple(sorted(pos[lab[:t] + lab[t + 1:]] for t in range(len(lab)))) for lab in labels]
+    return Poset._assemble(labels, _transpose(down), down)
 
 
 @lru_cache(maxsize=None)
@@ -251,8 +219,7 @@ def chain(m: int) -> Poset:
     """Chain with exactly ``m`` elements 0 < 1 < ... < m-1 (ranks 0..m-1)."""
     if m < 1:
         raise ValueError("need m >= 1")
-    return Poset(tuple(range(m)), [(i, i + 1) for i in range(m - 1)],
-                 _validated=True)
+    return Poset._assemble(tuple(range(m)), [(i + 1,) for i in range(m - 1)] + [()])
 
 
 @lru_cache(maxsize=None)
@@ -282,12 +249,10 @@ def subword(n: int) -> Poset:
             for perm in itertools.permutations(combo):
                 labels.append("".join(perm))
     pos = {w: i for i, w in enumerate(labels)}
-    covers = set()
-    for w in labels:
-        if len(w) > 1:
-            for t in range(len(w)):
-                covers.add((pos[w[:t] + w[t + 1:]], pos[w]))
-    return Poset(tuple(labels), covers, _validated=True)
+    # a word covers the words one letter shorter that it contains
+    down = [tuple(sorted(pos[w[:t] + w[t + 1:]] for t in range(len(w)))) if len(w) > 1 else ()
+            for w in labels]
+    return Poset._assemble(tuple(labels), _transpose(down), down)
 
 
 def word_descents(word: str) -> tuple[int, ...]:
@@ -368,16 +333,17 @@ def fiber_ideal(n: int, letters: Iterable[int], descent_class: int) -> FiberIdea
     pos = {k: t for t, k in enumerate(members)}
     # The preimage of an order ideal under an order-preserving map is an
     # order ideal, so the fiber's covers are K's covers inside it.  A lower
-    # cover left out would make that false, so it raises instead.
-    covers = []
-    for t, k in enumerate(members):
-        for low in K._down_adj[k]:
-            if low not in pos:
-                raise RuntimeError(
-                    f"fiber over {(A, i)} is not down-closed: "
-                    f"{K.labels[low]!r} lies below member {K.labels[k]!r} but is left out")
-            covers.append((pos[low], t))
-    fiber = Poset(tuple(K.labels[k] for k in members), covers, _validated=True)
+    # cover left out would make that false, so it raises instead.  Members
+    # ascend in K, so each lower-cover tuple stays ascending.
+    down = []
+    for k in members:
+        try:
+            down.append(tuple(map(pos.__getitem__, K._down_adj[k])))
+        except KeyError as missing:
+            raise RuntimeError(
+                f"fiber over {(A, i)} is not down-closed: {K.labels[missing.args[0]]!r} "
+                f"lies below member {K.labels[k]!r} but is left out") from None
+    fiber = Poset._assemble(tuple(K.labels[k] for k in members), _transpose(down), down)
     below = K.below_masks()
     generated = 0
     member_mask = 0

@@ -1,11 +1,15 @@
 """Finite posets stored by their cover relation.
 
-A poset is kept as an ordered tuple of element labels plus the set of
-cover pairs (the transitive reduction of the order).  The full order
+A poset is kept as an ordered tuple of element labels plus its cover
+relation (the transitive reduction of the order) as up and down
+adjacency lists, one ascending index tuple per element.  The full order
 relation is recovered lazily as reachability bitmasks, one Python int
 per element, which keeps interval extraction, Moebius computation and
 chain enumeration fast even for posets with a few thousand elements.
-:func:`build_poset` reduces raw relations with the same bitmasks, and
+Library posets are built by ``Poset._assemble`` from ascending adjacency;
+``Poset(labels, covers)`` is the checked public entry.  One walk over
+up-set masks (``_cover_masks``) turns every order into covers: products,
+raw relations, induced subposets and the reducedness check.
 :func:`find_isomorphism` decides isomorphism by individualization and
 refinement of cover-graph colourings.
 
@@ -80,7 +84,9 @@ class Poset:
 
     ``labels`` fixes the internal element indices; ``covers`` holds index
     pairs ``(i, j)`` meaning ``labels[i]`` is covered by ``labels[j]``.
-    Use :func:`build_poset` to construct from raw relations.
+    ``Poset(labels, covers)`` checks them in full (distinct labels, pairs
+    in range, no cycle, no implied pair); use :func:`build_poset` to
+    construct from raw relations.
     """
 
     __slots__ = (
@@ -98,42 +104,27 @@ class Poset:
         "_rank_result",
     )
 
-    def __init__(self, labels: Sequence[Hashable], covers: Iterable[tuple[int, int]],
-                 _validated: bool = False):
+    def __init__(self, labels: Sequence[Hashable], covers: Iterable[tuple[int, int]]):
         labels = tuple(labels)
-        covers = tuple(sorted(set(covers)))
-        index = {}
-        for i, lab in enumerate(labels):
-            if lab in index:
-                raise PosetError(f"duplicate label: {display_label(lab)!r}")
-            index[lab] = i
-        n = len(labels)
-        up = [[] for _ in range(n)]
-        down = [[] for _ in range(n)]
-        for (i, j) in covers:
-            if not (0 <= i < n and 0 <= j < n):
-                raise PosetError(f"cover pair ({i},{j}) out of range")
-            if i == j:
-                raise PosetError(f"cycle in the relation at {display_label(labels[i])!r}")
-            up[i].append(j)
-            down[j].append(i)
-        self._fill(labels, covers, index, [tuple(a) for a in up], [tuple(a) for a in down])
-        if not _validated:
-            self._validate()
+        index = _label_index(labels)
+        up = _up_adjacency(labels, covers)
+        self._fill(labels, index, up, _transpose(up))
+        self._validate()
 
     @classmethod
-    def _assemble(cls, labels: tuple, up_adj: list, down_adj: list) -> "Poset":
-        """A poset from distinct labels and adjacency lists of ascending
-        tuples, the form ``__init__`` gives them; ``covers`` is read off
-        ``up_adj`` on first use.  Nothing is checked, and the caller fills
-        in any derived data it already has."""
+    def _assemble(cls, labels: tuple, up_adj: list, down_adj: Optional[list] = None) -> "Poset":
+        """A poset from labels and its up adjacency, one ascending tuple
+        per element (``down_adj``, its transpose, is derived if not given).
+        Only the labels' distinctness is checked; the caller fills in any
+        derived data it already has."""
         P = cls.__new__(cls)
-        P._fill(labels, None, dict(zip(labels, count())), up_adj, down_adj)
+        P._fill(labels, _label_index(labels), up_adj,
+                _transpose(up_adj) if down_adj is None else down_adj)
         return P
 
-    def _fill(self, labels, covers, index, up_adj, down_adj):
+    def _fill(self, labels, index, up_adj, down_adj):
         self.labels = labels
-        self._covers = covers
+        self._covers = None
         self._index = index
         self._up_adj = up_adj
         self._down_adj = down_adj
@@ -213,17 +204,24 @@ class Poset:
             self._topo_pos = pos
         return self._topo_pos
 
+    def _closure(self, adj: list, order: Iterable[int], place: Sequence[int]) -> list[int]:
+        """Masks of the elements reachable along ``adj``, filled in
+        ``order`` (which lists every element after the ones ``adj`` leads
+        to); element ``j`` is bit ``place[j]``."""
+        bit = [1 << p for p in place]
+        masks = [0] * len(self.labels)
+        for i in order:
+            acc = 0
+            for j in adj[i]:
+                acc |= masks[j] | bit[j]
+            masks[i] = acc
+        return masks
+
     def above_masks(self) -> list[int]:
         """``above_masks()[i]`` has bit ``j`` set iff ``labels[i] < labels[j]``."""
         if self._above is None:
-            order = self.topo_order()
-            masks = [0] * len(self.labels)
-            for i in reversed(order):
-                acc = 0
-                for j in self._up_adj[i]:
-                    acc |= masks[j] | (1 << j)
-                masks[i] = acc
-            self._above = masks
+            self._above = self._closure(self._up_adj, reversed(self.topo_order()),
+                                        range(len(self.labels)))
         return self._above
 
     def above_positions(self) -> list[int]:
@@ -232,26 +230,14 @@ class Poset:
         bits from the top down list the elements above in decreasing
         :meth:`topo_order` position."""
         if self._above_pos is None:
-            pos = self.topo_positions()
-            masks = [0] * len(self.labels)
-            for i in reversed(self.topo_order()):
-                acc = 0
-                for j in self._up_adj[i]:
-                    acc |= masks[j] | (1 << pos[j])
-                masks[i] = acc
-            self._above_pos = masks
+            self._above_pos = self._closure(self._up_adj, reversed(self.topo_order()),
+                                            self.topo_positions())
         return self._above_pos
 
     def below_masks(self) -> list[int]:
         if self._below is None:
-            order = self.topo_order()
-            masks = [0] * len(self.labels)
-            for i in order:
-                acc = 0
-                for j in self._down_adj[i]:
-                    acc |= masks[j] | (1 << j)
-                masks[i] = acc
-            self._below = masks
+            self._below = self._closure(self._down_adj, self.topo_order(),
+                                        range(len(self.labels)))
         return self._below
 
     def below_positions(self) -> list[int]:
@@ -259,14 +245,8 @@ class Poset:
         place ``p`` of :meth:`topo_order` lies below ``labels[i]``; the
         mirror of :meth:`above_positions`."""
         if self._below_pos is None:
-            pos = self.topo_positions()
-            masks = [0] * len(self.labels)
-            for i in self.topo_order():
-                acc = 0
-                for j in self._down_adj[i]:
-                    acc |= masks[j] | (1 << pos[j])
-                masks[i] = acc
-            self._below_pos = masks
+            self._below_pos = self._closure(self._down_adj, self.topo_order(),
+                                            self.topo_positions())
         return self._below_pos
 
     def less(self, x, y) -> bool:
@@ -297,25 +277,86 @@ class Poset:
 
     # -- validation ------------------------------------------------------
 
-    def _implied_pairs(self) -> Iterator[tuple[int, int]]:
-        """Yield the pairs of ``covers`` that other covers already imply.
-
-        Raises :class:`PosetError` if the covers contain a cycle.
-        """
-        above = self.above_masks()
-        for (i, j) in self.covers:
-            via = 0
-            for k in self._up_adj[i]:
-                via |= above[k]
-            if via >> j & 1:
-                yield (i, j)
-
     def _validate(self):
-        for (i, j) in self._implied_pairs():
-            raise PosetError(
-                f"covers are not transitively reduced: "
-                f"({display_label(self.labels[i])!r}, {display_label(self.labels[j])!r}) "
-                f"is implied by other covers")
+        """Reject a cycle (:meth:`topo_order` does) or a cover implied by
+        others: one the cover walk does not find again."""
+        walked = poset_from_order(self.labels, self.above_masks())._up_adj
+        for i, (ups, reduced) in enumerate(zip(self._up_adj, walked)):
+            if ups != reduced:
+                j = min(set(ups) - set(reduced))
+                raise PosetError(
+                    f"covers are not transitively reduced: "
+                    f"({display_label(self.labels[i])!r}, {display_label(self.labels[j])!r}) "
+                    f"is implied by other covers")
+
+
+def _label_index(labels: tuple) -> dict:
+    """``{label: index}``; :class:`PosetError` on a repeated label."""
+    index = dict(zip(labels, count()))
+    if len(index) < len(labels):
+        seen = set()
+        for lab in labels:
+            if lab in seen:
+                raise PosetError(f"duplicate label: {display_label(lab)!r}")
+            seen.add(lab)
+    return index
+
+
+def _up_adjacency(labels: tuple, covers: Iterable[tuple[int, int]]) -> list[tuple[int, ...]]:
+    """Up adjacency, one ascending tuple per element, from cover index
+    pairs in any order; a pair out of range or a loop raises."""
+    n = len(labels)
+    up: list[list[int]] = [[] for _ in range(n)]
+    for (i, j) in sorted(set(covers)):
+        if not (0 <= i < n and 0 <= j < n):
+            raise PosetError(f"cover pair ({i},{j}) out of range")
+        if i == j:
+            raise PosetError(f"cycle in the relation at {display_label(labels[i])!r}")
+        up[i].append(j)
+    return list(map(tuple, up))
+
+
+def _transpose(adj: Sequence[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """The reversed adjacency; ascending when ``adj`` is."""
+    out: list[list[int]] = [[] for _ in adj]
+    for i, js in enumerate(adj):
+        for j in js:
+            out[j].append(i)
+    return list(map(tuple, out))
+
+
+def _cover_masks(above: Sequence[int], rows: Iterable[int], keep: int = -1) -> list[int]:
+    """Transitive reduction (Aho-Garey-Ullman 1972) of the order with
+    up-set masks ``above``, restricted to ``keep``: for each ``i`` of
+    ``rows``, the bits of its up-set outside the union of its members'
+    up-sets.  The walk gathering that union takes the lowest member left
+    and drops that member's up-set, so it takes one step per cover when
+    the index order is a linear extension."""
+    out = []
+    for i in rows:
+        up = above[i] & keep
+        higher, rest = 0, up
+        while rest:
+            low = rest & -rest
+            a = above[low.bit_length() - 1]
+            higher |= a
+            rest &= ~(a | low)
+        out.append(up & ~higher)
+    return out
+
+
+def poset_from_order(labels: Iterable[Hashable], above_masks: Sequence[int]) -> Poset:
+    """Poset from an explicit strict order: ``above_masks[i]`` has bit ``j``
+    set iff ``labels[i] < labels[j]``.
+
+    The masks, trusted to be transitive and acyclic, give the covers by
+    the cover walk and become the poset's :meth:`Poset.above_masks`.
+    """
+    above = list(above_masks)
+    walked = [tuple(iter_bits(m)) for m in _cover_masks(above, range(len(above)))]
+    P = Poset._assemble(tuple(labels), walked)
+    P._above = above
+    return P
 
 
 @dataclass(frozen=True)
@@ -353,19 +394,22 @@ def build_poset(labels: Sequence[Hashable],
                 cover_pairs: Iterable[tuple[Hashable, Hashable]]) -> Poset:
     """Build and validate a poset from labels and (lower, upper) pairs.
 
-    Redundant pairs (those implied by transitivity) are dropped; cycles
-    and duplicate or unknown labels raise :class:`PosetError`.
+    The pairs are closed into up-set masks and reduced by the cover walk
+    of :func:`poset_from_order`, so implied pairs are dropped; cycles and
+    duplicate or unknown labels raise :class:`PosetError`.
 
     >>> P = build_poset(["a", "b", "c"], [("a", "b"), ("b", "c")])
     >>> P.less("a", "c")
     True
     """
-    indexed = Poset(labels, (), _validated=True)  # rejects duplicate labels
-    raw = Poset(indexed.labels,
-                [(indexed.index(a), indexed.index(b)) for (a, b) in cover_pairs],
-                _validated=True)
-    implied = set(raw._implied_pairs())
-    return Poset(raw.labels, [e for e in raw.covers if e not in implied], _validated=True)
+    labels = tuple(labels)
+    index = _label_index(labels)
+    try:
+        pairs = [(index[a], index[b]) for (a, b) in cover_pairs]
+    except KeyError as missing:
+        raise PosetError(f"unknown label: {display_label(missing.args[0])!r}") from None
+    raw = Poset._assemble(labels, _up_adjacency(labels, pairs))
+    return poset_from_order(labels, raw.above_masks())
 
 
 def rank_info(P: Poset):
@@ -441,30 +485,18 @@ def is_pure(P: Poset) -> bool:
 
 def induced_subposet(P: Poset, members: Iterable[Hashable]) -> Poset:
     """Induced subposet of ``P`` on ``members`` (order inherited)."""
-    idx = [P.index(x) for x in members]
-    seen = set()
-    for i in idx:
-        if i in seen:
-            raise PosetError(f"duplicate label: {display_label(P.labels[i])!r}")
-        seen.add(i)
-    return _induced_by_indices(P, idx)
+    return _induced_by_indices(P, [P.index(x) for x in members])
 
 
 def _induced_by_indices(P: Poset, idx: Sequence[int]) -> Poset:
-    sub_mask = 0
+    """Induced subposet on the indices ``idx``, in that order, by the
+    cover walk in ``P``'s index space."""
+    keep = 0
     for i in idx:
-        sub_mask |= 1 << i
-    pos = {i: k for k, i in enumerate(idx)}
-    above = P.above_masks()
-    below = P.below_masks()
-    covers = []
-    for i in idx:
-        up_here = above[i] & sub_mask
-        for j in iter_bits(up_here):
-            if not (above[i] & below[j] & sub_mask):
-                covers.append((pos[i], pos[j]))
-    labels = tuple(P.labels[i] for i in idx)
-    return Poset(labels, covers, _validated=True)
+        keep |= 1 << i
+    at = dict(zip(idx, count())).__getitem__
+    up = [tuple(sorted(map(at, iter_bits(m)))) for m in _cover_masks(P.above_masks(), idx, keep)]
+    return Poset._assemble(tuple(map(P.labels.__getitem__, idx)), up)
 
 
 def open_interval(P: Poset, x, y) -> Poset:
@@ -558,8 +590,8 @@ def mobius(P: Poset, x=None, y=None) -> int:
 
 
 def dual(P: Poset) -> Poset:
-    """Same elements, reversed order."""
-    return Poset(P.labels, [(j, i) for (i, j) in P.covers], _validated=True)
+    """Same elements, reversed order: the adjacency lists swapped."""
+    return Poset._assemble(P.labels, P._down_adj, P._up_adj)
 
 
 # -- isomorphism -------------------------------------------------------

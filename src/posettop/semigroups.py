@@ -8,15 +8,15 @@ integer weight vector ``w`` and a positive scale ``s`` such that
 membership and interval structure come from layered enumeration:
 degree-m elements are sums of a degree-(m-1) element and a generator.
 
-One cover rule serves every divisibility poset: a cover adds one
-generator.  ``lower_interval`` applies it to the elements below one
-element (``_divisibility_poset``); the Koszul test applies it once to
-every element up to its rank bound, building the dual order directly
-(``_dual_divisibility_poset``), and judges each interval (0, x) as
-(x, 0) inside that one poset, all from one critical-chain pass.  Since a
-cover raises the degree by one, [0, x] is graded by degree, so (0, x) is
-pure and, for deg x >= 2, holds the generators below x: the test needs
-no emptiness or purity check.
+One builder, ``_divisibility_poset``, makes every divisibility poset from
+the layers of a down-closed set of elements: a cover adds one generator.
+``lower_interval`` runs it on the layers of the elements below one
+element; the Koszul test runs it once on every element up to its rank
+bound, takes the dual (an adjacency swap), and judges each interval
+(0, x) as (x, 0) inside that one poset, all from one critical-chain
+pass.  Since a cover raises the degree by one, [0, x] is graded by
+degree, so (0, x) is pure and, for deg x >= 2, holds the generators
+below x: the test needs no emptiness or purity check.
 """
 
 from __future__ import annotations
@@ -24,12 +24,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, count, islice
-from operator import add, lshift, sub
+from operator import add, le, lshift, sub
 from typing import Iterable, Optional, Sequence
 
 from .cohen_macaulay import _interval_homology, _summary_violations, cm_coefficient_name
 from .homology import _chains_in_dim, _critical_chains, parse_coefficients
-from .posets import Poset, SizeLimitError, induced_subposet
+from .posets import Poset, SizeLimitError, dual, induced_subposet
 
 DEFAULT_LAYER_CAP = 200_000
 
@@ -87,6 +87,15 @@ class HomogeneousSemigroup:
 
     def enumerate_up_to(self, r: int) -> list[list[Vector]]:
         """Complete, duplicate-free layers of elements of degree 0..r."""
+        self._grow(r)
+        return [list(layer) for layer in self._layers[:r + 1]]
+
+    def layer_set(self, m: int) -> set:
+        self._grow(m)
+        return self._layer_sets[m]
+
+    def _grow(self, r: int) -> None:
+        """Enumerate the layers up to degree ``r``, each once."""
         if r < 0:
             raise SemigroupError("need r >= 0")
         while len(self._layers) <= r:
@@ -101,11 +110,6 @@ class HomogeneousSemigroup:
                     f"cap is {self.layer_cap}")
             self._layers.append(sorted(nxt))
             self._layer_sets.append(nxt)
-        return [list(layer) for layer in self._layers[:r + 1]]
-
-    def layer_set(self, m: int) -> set:
-        self.enumerate_up_to(m)
-        return self._layer_sets[m]
 
     def contains(self, x: Iterable[int], degree_hint: Optional[int] = None) -> bool:
         """Membership, decided by enumeration up to the element's degree."""
@@ -198,65 +202,47 @@ def punctured_veronese_semigroup(d: int) -> HomogeneousSemigroup:
     return build_semigroup(sorted(set(gens)), weight=(1,) * d, scale=d)
 
 
-def _divisibility_poset(S: HomogeneousSemigroup, labels: Sequence[Vector]) -> Poset:
-    """Divisibility order on a down-closed set of semigroup elements
-    listed by degree: every cover adds one generator."""
-    pos = {v: i for i, v in enumerate(labels)}
-    covers = []
-    for i, mu in enumerate(labels):
-        for g in S.generators:
-            j = pos.get(_add(mu, g))
-            if j is not None:
-                covers.append((i, j))
-    return Poset(tuple(labels), covers, _validated=True)
+def _divisibility_poset(S: HomogeneousSemigroup, layers: Sequence[Sequence[Vector]]) -> Poset:
+    """Divisibility order on a down-closed set of elements of ``S``, given
+    as its sorted layers by degree: a cover adds one generator.
 
-
-def _dual_divisibility_poset(S: HomogeneousSemigroup, layers: Sequence[Sequence[Vector]]) -> Poset:
-    """``dual(_divisibility_poset(S, labels))`` for ``labels`` the complete,
-    sorted layers 0..r of ``S``, built in one go: the same labels, covers
-    and adjacency, so the same ``topo_order()``.
-
-    In the divisibility order each element below layer r is covered by its
-    sum with each generator, and no element of layer r is covered; the
-    dual swaps the two adjacency lists.  Each vector is packed into one
-    int, a coordinate per field wide enough for layer r, so a sum of
-    vectors is a sum of ints with no carry between fields.  Adding the
-    sorted generators to a vector keeps their order, and a layer is
-    sorted, so each element's covers come out ascending.
+    Each vector is packed into one int, a coordinate per field wide enough
+    for the top layer, so a sum of vectors is a sum of ints with no carry
+    between fields.  The top layer covers nothing, and below it a sum is
+    kept only if it is a member.  Adding the sorted generators to a vector
+    keeps their order, and a layer is sorted, so each element's covers
+    come out ascending.
     """
     labels = tuple(chain.from_iterable(layers))
-    width = ((len(layers) - 1) * max(map(max, S.generators))).bit_length()
+    width = ((len(layers) - 1) * max(map(max, S.generators))).bit_length() or 1
     shifts = range(0, width * S.dim, width)
 
     def pack(v):
         return sum(map(lshift, v, shifts))
     index = dict(zip(map(pack, labels), count()))
     gens = list(map(pack, S.generators))
-    up = [tuple(map(index.__getitem__, map(key.__add__, gens)))
+    # no sum is the zero element, index 0, so filter(None, ...) drops
+    # exactly the sums that are not members
+    up = [tuple(filter(None, map(index.get, map(key.__add__, gens))))
           for key in islice(index, len(labels) - len(layers[-1]))]
     up += [()] * len(layers[-1])
-    down: list[list[int]] = [[] for _ in labels]
-    for i, js in enumerate(up):
-        for j in js:
-            down[j].append(i)
-    return Poset._assemble(labels, up_adj=list(map(tuple, down)), down_adj=up)
+    return Poset._assemble(labels, up)
 
 
 def lower_interval(S: HomogeneousSemigroup, element: Iterable[int]) -> Poset:
     """Divisibility interval [0, element] as a poset; elements are the
     semigroup members below ``element`` by degree, then lexicographically,
-    and covers add one generator, by the Koszul test's cover rule."""
+    and covers add one generator (``_divisibility_poset``, the Koszul
+    test's builder)."""
     lam = _vec(element, S.dim, "element")
     deg = S.degree(lam)
     if deg < 0 or not S.contains(lam, degree_hint=deg):
         raise SemigroupError(f"{lam} is not reached by enumeration")
-    layers = S.enumerate_up_to(deg)
     members = []
-    for m in range(deg + 1):
-        for mu in layers[m]:
-            diff = _sub(lam, mu)
-            if all(a >= 0 for a in diff) and S.contains(diff, degree_hint=deg - m):
-                members.append(mu)
+    for m, layer in enumerate(S.enumerate_up_to(deg)):
+        members.append([mu for mu in layer
+                        if all(map(le, mu, lam))
+                        and S.contains(_sub(lam, mu), degree_hint=deg - m)])
     return _divisibility_poset(S, members)
 
 
@@ -328,7 +314,7 @@ def koszul_necessary_test(S: HomogeneousSemigroup, max_rank: int,
     mode = parse_coefficients(coeffs)
     name = cm_coefficient_name(mode)
     layers = S.enumerate_up_to(max_rank)
-    D = _dual_divisibility_poset(S, layers)
+    D = dual(_divisibility_poset(S, layers))
     crit = _critical_chains(D, 0)  # index 0 is the zero element
     first = len(layers[0]) + len(layers[1]) + len(layers[2])  # first index of degree 3
     j = first
@@ -426,7 +412,7 @@ class SegreSemigroupView:
             raise SemigroupError(f"({lam}, {gam}) is not in the Segre product")
         P = lower_interval(self._product, lam + gam)
         labels = tuple(split_pair(v, self.first.dim) for v in P.labels)
-        return Poset(labels, P.covers, _validated=True)
+        return Poset._assemble(labels, P._up_adj, P._down_adj)
 
 
 def segre_semigroup(first: HomogeneousSemigroup, second: HomogeneousSemigroup,

@@ -6,7 +6,9 @@ products are made from by comparing every pair of pairs;
 image in the deranged Rees poset with ``R.leq`` and takes its covers from
 :func:`induced_subposet`.  Neither shares the library's mask arithmetic.
 ``reference_poset_from_order`` finds covers through down-sets, not by
-the library's walk over each up-set.
+the library's walk over each up-set.  ``reference_divisibility_poset``
+finds a divisibility poset's covers by a dict lookup of every sum of an
+element and a generator, not by the library's packed ints.
 """
 
 from posettop.constructions import (
@@ -16,6 +18,7 @@ from posettop.constructions import (
     support_descents,
 )
 from posettop.posets import Poset, induced_subposet, iter_bits, require_rank_info
+from posettop.semigroups import _add
 
 
 def reference_poset_from_order(labels, above_masks):
@@ -96,3 +99,16 @@ def reference_fiber_ideal(n, letters, descent_class):
     generated = {K.labels[t] for t in iter_bits(gen_mask)}
     consistent = generated == set(members)
     return FiberIdeal(fiber, consistent, n, A, i)
+
+
+def reference_divisibility_poset(S, labels):
+    """Divisibility order on a down-closed set of elements of ``S`` listed
+    by degree: every cover adds one generator."""
+    pos = {v: i for i, v in enumerate(labels)}
+    covers = []
+    for i, mu in enumerate(labels):
+        for g in S.generators:
+            j = pos.get(_add(mu, g))
+            if j is not None:
+                covers.append((i, j))
+    return Poset(tuple(labels), covers)

@@ -26,14 +26,19 @@ from posettop.posets import (
     ImpurePosetError,
     Poset,
     PosetError,
+    augment,
     build_poset,
+    dual,
     find_isomorphism,
+    induced_subposet,
     is_isomorphic,
     iter_bits,
     mobius,
+    open_interval,
     rank_map,
     require_rank_info,
 )
+from posettop.semigroups import lower_interval, natural_semigroup, segre_semigroup
 
 from posettop import constructions
 from construction_oracle import (
@@ -394,24 +399,46 @@ class TestFiberConsistencyAllSubsets:
 
 class TestConstructedPosetsAreValid:
     def test_cover_sets_are_reduced_and_acyclic(self):
-        # re-validating from scratch must accept every constructed cover set
+        # re-validating from scratch must accept every constructed cover
+        # set and derive the same adjacency and linear extension from it
         B3 = boolean(3)
         C3 = chain(3)
+        N3 = natural_semigroup(3)
+        view = segre_semigroup(natural_semigroup(2), natural_semigroup(2), (1, 1))
         samples = [
+            B3,
+            C3,
+            boolean_minus_bottom(3),
             product(B3, C3),
             segre(B3, rank_map(B3), B3, rank_map(B3)),
             rees(boolean_minus_bottom(3), C3),
             rank_select(B3, {1, 2}),
+            rank_select(subword(4), {1, 3}),
             rees_as_segre(boolean_minus_bottom(2), chain(2)).segre_product,
             rees_as_segre(boolean_minus_bottom(2), chain(2)).chain_extension,
             subword(4),
             minors(3),
             rees_deranged(4),
             fiber_ideal(4, (1, 2, 3, 4), 2).poset,
+            dual(rees_deranged(3)),
+            augment(B3),
+            build_poset(B3.labels[::-1], B3.cover_pairs() + (((), (1, 2, 3)),)),
+            open_interval(B3, (), (1, 2, 3)),
+            open_interval(subword(4), "1", "4321"),
+            induced_subposet(B3, B3.labels[::-1]),
+            lower_interval(N3, (2, 1, 1)),
+            lower_interval(N3, (0, 0, 0)),
+            view.lower_interval(((1, 1), (2, 0))),
         ]
         for P in samples:
             Q = Poset(P.labels, P.covers)  # runs full validation
-            assert Q.covers == P.covers
+            assert same_order_data(P, Q), P
+
+
+def same_order_data(P, Q):
+    """Labels, covers, adjacency and linear extension all agree."""
+    return ((P.labels, P.covers, P._up_adj, P._down_adj, P.topo_order())
+            == (Q.labels, Q.covers, Q._up_adj, Q._down_adj, Q.topo_order()))
 
 
 def same_poset(P, Q):

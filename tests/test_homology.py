@@ -470,7 +470,7 @@ class TestCriticalChains:
             _divisibility_poset, natural_semigroup, punctured_veronese_semigroup,
             rees_semigroup)
         S = rees_semigroup(punctured_veronese_semigroup(3), natural_semigroup(2))
-        T = _divisibility_poset(S, [x for layer in S.enumerate_up_to(3) for x in layer])
+        T = _divisibility_poset(S, S.enumerate_up_to(3))
         posets = [augment(boolean(5)), augment(subword(5)), augment(rees_deranged(5)),
                   augment(fiber_ideal(5, range(1, 6), 3).poset),
                   augment(weighted_segre(boolean(4), boolean(3), rank_map(boolean(3))).poset),

@@ -287,7 +287,7 @@ def rebuilt_augment(P, labels):
     covers += [(i + 1, n + 1) for i in range(n) if not P._up_adj[i]]
     if n == 0:
         covers.append((0, 1))
-    return Poset(labels, covers, _validated=True)
+    return Poset(labels, covers)
 
 
 def augment_corpus():

@@ -43,7 +43,8 @@ from posettop.semigroups import (
     split_pair,
 )
 
-from test_constructions import is_order_isomorphism
+from construction_oracle import reference_divisibility_poset
+from test_constructions import is_order_isomorphism, same_order_data
 from test_posets import boolean_lattice
 
 
@@ -109,7 +110,7 @@ def two_poset_koszul(S, max_rank, coeffs):
     mode = parse_coefficients(coeffs)
     name = cm_coefficient_name(mode)
     layers = S.enumerate_up_to(max_rank)
-    T = semigroups._divisibility_poset(S, [x for layer in layers for x in layer])
+    T = reference_divisibility_poset(S, [x for layer in layers for x in layer])
     crit = _critical_chains(dual(T), 0)
     checked, runs = len(layers[2]), 0
     for m in range(3, max_rank + 1):
@@ -246,6 +247,10 @@ class TestLowerIntervals:
             for m, layer in enumerate(S.enumerate_up_to(4)):
                 for lam in layer:
                     P = lower_interval(S, lam)
+                    members = [mu for layer in S.enumerate_up_to(m) for mu in layer
+                               if S.contains(tuple(a - b for a, b in zip(lam, mu)))]
+                    ref = reference_divisibility_poset(S, members)
+                    assert same_order_data(P, ref), (name, lam)
                     info = require_rank_info(P)
                     assert all(info.rank[v] == S.degree(v) for v in P.labels), (name, lam)
                     if m >= 2:
@@ -314,15 +319,14 @@ class TestKoszulTest:
                 assert rep.passed == koszul, (name, coeffs)
 
     def test_matches_the_two_poset_path(self):
-        # one dual divisibility poset, built directly, gives the poset, the
-        # critical-chain ids and the reports of the divisibility poset and
-        # its dual
+        # the packed divisibility builder and the dict-based one give the
+        # same dual poset, critical-chain ids and reports
         cases = benchmark_semigroups()
         assert len(cases) == 18
         for name, S, r in cases:
             layers = S.enumerate_up_to(r)
-            D = semigroups._dual_divisibility_poset(S, layers)
-            T = dual(semigroups._divisibility_poset(S, [x for layer in layers for x in layer]))
+            D = dual(semigroups._divisibility_poset(S, layers))
+            T = dual(reference_divisibility_poset(S, [x for layer in layers for x in layer]))
             assert (D.labels, D.covers, D._index) == (T.labels, T.covers, T._index), name
             assert (D._up_adj, D._down_adj) == (T._up_adj, T._down_adj), name
             assert D.topo_order() == T.topo_order(), name
