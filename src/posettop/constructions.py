@@ -46,9 +46,10 @@ def product(P: Poset, Q: Poset) -> Poset:
     """
     labels = tuple((p, q) for p in P.labels for q in Q.labels)
     nq = len(Q.labels)
-    # a product cover moves exactly one coordinate along a cover; moving
-    # the second coordinate keeps the first, so its covers come first
-    up = [tuple(i * nq + u for u in Q._up_adj[t]) + tuple(j * nq + t for j in P._up_adj[i])
+    # a product cover moves exactly one coordinate along a cover; a cover
+    # of P may go to a lower index, so the two kinds are merged by a sort
+    up = [tuple(sorted([*(i * nq + u for u in Q._up_adj[t]),
+                        *(j * nq + t for j in P._up_adj[i])]))
           for i in range(len(P.labels)) for t in range(nq)]
     return Poset._assemble(labels, up)
 

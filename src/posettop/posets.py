@@ -280,10 +280,11 @@ class Poset:
     def _validate(self):
         """Reject a cycle (:meth:`topo_order` does) or a cover implied by
         others: one the cover walk does not find again."""
-        walked = poset_from_order(self.labels, self.above_masks())._up_adj
+        walked = _cover_masks(self.above_masks(), range(len(self.labels)))
         for i, (ups, reduced) in enumerate(zip(self._up_adj, walked)):
-            if ups != reduced:
-                j = min(set(ups) - set(reduced))
+            implied = sum(1 << j for j in ups) & ~reduced
+            if implied:
+                j = (implied & -implied).bit_length() - 1
                 raise PosetError(
                     f"covers are not transitively reduced: "
                     f"({display_label(self.labels[i])!r}, {display_label(self.labels[j])!r}) "

@@ -8,7 +8,7 @@ integer weight vector ``w`` and a positive scale ``s`` such that
 membership and interval structure come from layered enumeration:
 degree-m elements are sums of a degree-(m-1) element and a generator.
 
-One builder, ``_divisibility_poset``, makes every divisibility poset from
+One builder, ``_divisibility_order``, makes every divisibility poset from
 the layers of a down-closed set of elements: a cover adds one generator.
 ``lower_interval`` runs it on the layers of the elements below one
 element; the Koszul test runs it once on every element up to its rank
@@ -202,7 +202,7 @@ def punctured_veronese_semigroup(d: int) -> HomogeneousSemigroup:
     return build_semigroup(sorted(set(gens)), weight=(1,) * d, scale=d)
 
 
-def _divisibility_poset(S: HomogeneousSemigroup, layers: Sequence[Sequence[Vector]]) -> Poset:
+def _divisibility_order(S: HomogeneousSemigroup, layers: Sequence[Sequence[Vector]]) -> Poset:
     """Divisibility order on a down-closed set of elements of ``S``, given
     as its sorted layers by degree: a cover adds one generator.
 
@@ -232,7 +232,7 @@ def _divisibility_poset(S: HomogeneousSemigroup, layers: Sequence[Sequence[Vecto
 def lower_interval(S: HomogeneousSemigroup, element: Iterable[int]) -> Poset:
     """Divisibility interval [0, element] as a poset; elements are the
     semigroup members below ``element`` by degree, then lexicographically,
-    and covers add one generator (``_divisibility_poset``, the Koszul
+    and covers add one generator (``_divisibility_order``, the Koszul
     test's builder)."""
     lam = _vec(element, S.dim, "element")
     deg = S.degree(lam)
@@ -243,7 +243,7 @@ def lower_interval(S: HomogeneousSemigroup, element: Iterable[int]) -> Poset:
         members.append([mu for mu in layer
                         if all(map(le, mu, lam))
                         and S.contains(_sub(lam, mu), degree_hint=deg - m)])
-    return _divisibility_poset(S, members)
+    return _divisibility_order(S, members)
 
 
 def open_interval_below(S: HomogeneousSemigroup, element: Iterable[int]) -> Poset:
@@ -314,7 +314,7 @@ def koszul_necessary_test(S: HomogeneousSemigroup, max_rank: int,
     mode = parse_coefficients(coeffs)
     name = cm_coefficient_name(mode)
     layers = S.enumerate_up_to(max_rank)
-    D = dual(_divisibility_poset(S, layers))
+    D = dual(_divisibility_order(S, layers))
     crit = _critical_chains(D, 0)  # index 0 is the zero element
     first = len(layers[0]) + len(layers[1]) + len(layers[2])  # first index of degree 3
     j = first

@@ -410,6 +410,9 @@ class TestConstructedPosetsAreValid:
             C3,
             boolean_minus_bottom(3),
             product(B3, C3),
+            # first factors whose index order is not a linear extension
+            product(dual(B3), C3),
+            product(build_poset("cba", [("a", "b"), ("b", "c")]), C3),
             segre(B3, rank_map(B3), B3, rank_map(B3)),
             rees(boolean_minus_bottom(3), C3),
             rank_select(B3, {1, 2}),

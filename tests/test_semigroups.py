@@ -325,7 +325,7 @@ class TestKoszulTest:
         assert len(cases) == 18
         for name, S, r in cases:
             layers = S.enumerate_up_to(r)
-            D = dual(semigroups._divisibility_poset(S, layers))
+            D = dual(semigroups._divisibility_order(S, layers))
             T = dual(reference_divisibility_poset(S, [x for layer in layers for x in layer]))
             assert (D.labels, D.covers, D._index) == (T.labels, T.covers, T._index), name
             assert (D._up_adj, D._down_adj) == (T._up_adj, T._down_adj), name
