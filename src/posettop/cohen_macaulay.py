@@ -12,26 +12,23 @@ condition: torsion-free homology concentrated in top dimension for
 every interval.  Reports label this mode "Z-spherical" to keep the
 distinction honest.
 
-Most intervals are decided from the sizes of their critical chains
-alone.  The element matching taken from the top down of a linear
-extension leaves critical chains (``homology._critical_chains``) with
-the interval's homology; the sweeps get each chain as an id with a size
-and read only the sizes.  When every one of them sits in dimension
-``gap - 2`` (there may be none), that homology is free and concentrated
-in dimension ``gap - 2``, so the interval passes in every mode and no
-homology summary is built.  Any other interval goes to
-``_interval_homology``: its critical chains fix the integral homology
-when no two of them sit in adjacent dimensions (free, one generator per
-chain), and otherwise the homology engine, ``integral_homology`` of its
-order complex, fixes torsion and the failure text.  The Koszul test of
-``semigroups`` and ``is_acyclic_over`` take the same two steps.
+One interval sweep serves this test and the Koszul test of
+``semigroups``: ``_undecided_intervals`` takes one critical-chain pass
+(``homology._critical_chains``) down from an upper element and reads
+only the sizes of the chains it leaves.  An interval whose critical
+chains all sit in dimension ``gap - 2`` (there may be none) has free
+homology concentrated there and passes in every mode, so the sweep
+lists only the other intervals.  Each of them gets its integral
+homology from ``_interval_homology``: the critical chains fix it when
+no two sit in adjacent dimensions (free, one generator per chain), and
+otherwise the homology engine, ``integral_homology`` of the interval's
+order complex, fixes torsion and the failure text.  ``is_acyclic_over``
+takes the same two steps on the one interval (0^, 1^).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
-from operator import itemgetter, sub
 from typing import Optional, Sequence, Union
 
 from .complexes import order_complex
@@ -111,58 +108,48 @@ def cm_report_to_data(r: CMReport) -> dict:
     return out
 
 
+def _undecided_intervals(A: Poset, rank: Sequence[int], j: int):
+    """``(i, summary)`` for each open interval ``(i, j)`` of the pure poset
+    ``A`` whose critical-chain sizes leave it undecided, with its integral
+    homology; ``rank`` is a rank function of ``A`` by index.
+
+    One ``_critical_chains`` pass down from ``j`` serves every interval
+    below it.  An interval whose critical chains all have ``gap - 1``
+    elements, or which has none, has free homology in dimension
+    ``gap - 2`` only and passes in every mode: cover pairs (only the
+    empty chain) and rank-gap-2 antichains (only singletons) among
+    them.  Intervals come in the pass's order, from the top down.
+    """
+    crit = _critical_chains(A, j)
+    size, top = crit.size, rank[j] - 1
+    for i, chains in crit.chains.items():
+        k = top - rank[i]  # elements of a chain in dimension gap - 2
+        for c in chains:
+            if size[c] != k:
+                yield i, _interval_homology(A, i, j, map(size.__getitem__, chains))
+                break
+
+
 def _interval_items(P: Poset):
-    """Integral homology of every open interval of the bounded extension.
+    """The open intervals of the bounded extension that can fail, with
+    their integral homology.
 
-    Yields ``(lower, upper, rank_gap, summary)`` in lexicographic index
-    order.  ``summary`` is ``None`` for an interval that passes in every
-    mode, because its reduced homology is free and sits in dimension
-    ``gap - 2`` only; no such interval is built.  In a pure poset these
-    are the intervals of rank gaps 1 and 2 (empty, and a nonempty
-    antichain with its free H~0), and every interval whose critical
-    chains all sit in dimension ``gap - 2``, or which has none.
-
-    One top-down pass per upper element of rank 3 and up finds the
-    critical chains of every interval below it (``_critical_chains``).
-    Intervals of rank gap 3 and up are decided inline, on the chain sizes
-    (``homology._chains_in_dim``'s test); only an interval with a
-    critical chain of another size goes to ``_interval_homology``.
-
-    ``augment`` hands over the rank data of a pure ``P``.  A pass keys
-    every element below its upper element, so the passes, taken in index
-    order, also list the upper elements of each lower one in index order
-    (the down-sets of ranks 1 and 2 are read from their masks); each
-    lower element's items are then zipped together from those lists.
+    Yields ``(lower, upper, rank_gap, summary)`` for each interval that
+    ``_undecided_intervals`` leaves open, sorted by lower, then upper
+    index.  Every other interval has free homology in dimension
+    ``gap - 2`` only and passes in every mode.  Each upper element of
+    rank 3 and up gets one critical-chain pass; the intervals below the
+    others have rank gap 1 or 2 and pass.
     """
     A = augment(P)
     info = rank_info(A)
     if isinstance(info, PurityFailure):
         raise PosetError("interval analysis needs a pure poset")
-    labels, below = A.labels, A.below_masks()
+    labels = A.labels
     rank = list(map(info.rank.__getitem__, labels))
-    ups: list[list[int]] = [[] for _ in labels]  # the j above each i, ascending
-    summaries: dict[int, dict] = {}  # by lower index, then upper index
-    for j, r in enumerate(rank):
-        if r < 3:
-            for i in iter_bits(below[j]):
-                ups[i].append(j)
-            continue
-        crit = _critical_chains(A, j)  # every i below j is a key
-        size = crit.size
-        for i, chains in crit.chains.items():
-            ups[i].append(j)
-            k = r - rank[i] - 1  # elements of a chain in dimension gap - 2
-            if k > 1:
-                for c in chains:
-                    if size[c] != k:
-                        summaries.setdefault(i, {})[j] = _interval_homology(
-                            A, i, j, map(size.__getitem__, chains))
-                        break
-    for i, js in enumerate(ups):
-        row = summaries.get(i)
-        yield from zip(repeat(labels[i]), map(labels.__getitem__, js),
-                       map(sub, map(rank.__getitem__, js), repeat(rank[i])),
-                       repeat(None) if row is None else map(row.get, js))
+    for i, j, summary in sorted((i, j, summary) for j, r in enumerate(rank) if r > 2
+                                for i, summary in _undecided_intervals(A, rank, j)):
+        yield labels[i], labels[j], rank[j] - rank[i], summary
 
 
 def _interval_homology(A: Poset, i: int, j: int, sizes) -> HomologySummary:
@@ -171,7 +158,7 @@ def _interval_homology(A: Poset, i: int, j: int, sizes) -> HomologySummary:
     (``_critical_chains(A, j).sizes(i)``).
 
     The sweeps call it only where the chain sizes alone do not decide the
-    interval (``homology._chains_in_dim``).  The critical chains fix the
+    interval (``_undecided_intervals``).  The critical chains fix the
     homology unless two of them sit in adjacent dimensions; then the
     interval is built and its order complex goes to the homology engine.
     """
@@ -188,8 +175,7 @@ def _summary_violations(summary: Optional[HomologySummary], gap: int, coeffs):
 
     ``coeffs`` is a parsed selector: ``"Z"`` is the spherical mode, which
     also rejects torsion in dimension ``gap - 2``.  ``summary`` is ``None``
-    for an interval that ``_interval_items`` decided from its critical
-    chain sizes; it passes (``is_cm_poset`` skips such intervals itself).
+    for an interval decided without one; it passes.
     """
     d = gap - 2
     if summary is None:
@@ -230,8 +216,7 @@ def is_cm_poset(P: Poset, coeffs: CoeffSpec = "Q", use_cache: bool = True) -> CM
     if isinstance(info, PurityFailure):
         return CMReport(False, name, purity_witness=info)
     failures = []
-    # only items with a summary can fail; the others carry None
-    for (x, y, gap, summary) in filter(itemgetter(3), _interval_items(P)):
+    for (x, y, gap, summary) in _interval_items(P):
         bad = _summary_violations(summary, gap, mode)
         if bad:
             failures.append(CMFailure(x, y, gap - 2, "; ".join(bad)))

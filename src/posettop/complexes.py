@@ -493,7 +493,11 @@ def complex_from_data(data: Mapping) -> SimplicialComplex:
         facets = data["facets"]
     except (KeyError, TypeError):
         raise ComplexError('complex JSON needs "vertices" and "facets"') from None
-    return simplicial_complex(list(vertices), [list(f) for f in facets])
+    try:
+        return simplicial_complex(list(vertices), [list(f) for f in facets])
+    except TypeError:  # not lists, or a vertex that is a list or object
+        raise ComplexError('complex JSON needs lists of "vertices" and of "facets" '
+                           'lists, with no vertex a list or object') from None
 
 
 def complex_to_json(K: SimplicialComplex) -> str:

@@ -19,10 +19,11 @@ numbers from them (``HomologySummary.over_field``).  The dense field
 ranks of ``intmatrix`` stay the independent reference the test suite
 checks this engine against.
 
-The interval sweeps mostly skip the engine: ``_critical_chains`` gives
-the critical chains of poset intervals under an acyclic element matching,
+The interval sweep of ``cohen_macaulay``, which serves the CM and the
+Koszul tests, mostly skips the engine: ``_critical_chains`` gives the
+critical chains of poset intervals under an acyclic element matching,
 each chain a small-int id with a size (one id per distinct chain of a
-pass, no bitmask), and ``_chains_in_dim`` and ``_morse_summary`` read the
+pass, no bitmask), and the sweep and ``_morse_summary`` read the
 homology off their sizes when no two sit in adjacent dimensions.  A pass
 walks the elements by their ``topo_order()`` places, as bits of the
 poset's cached position masks, and keeps each element's critical chains
@@ -309,16 +310,6 @@ def _critical_chains(P: Poset, y: int) -> _CriticalChains:
     for c in chain.from_iterable(ext.values()):
         size.append(size[c] + 1)
     return _CriticalChains(crit, size, ext)
-
-
-def _chains_in_dim(sizes, d: int) -> bool:
-    """True iff every chain, given by its size, sits in dimension ``d``
-    (has ``d + 1`` elements), which holds when there is none.
-
-    The critical chains of an acyclic matching then give free homology
-    concentrated in dimension ``d``, with no Morse boundary to compute.
-    """
-    return all(map((d + 1).__eq__, sizes))
 
 
 def _morse_summary(sizes) -> Optional[HomologySummary]:

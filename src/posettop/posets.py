@@ -591,8 +591,11 @@ def mobius(P: Poset, x=None, y=None) -> int:
 
 
 def dual(P: Poset) -> Poset:
-    """Same elements, reversed order: the adjacency lists swapped."""
-    return Poset._assemble(P.labels, P._down_adj, P._up_adj)
+    """Same elements, reversed order: the adjacency lists swapped and the
+    label index shared."""
+    D = Poset.__new__(Poset)
+    D._fill(P.labels, P._index, P._down_adj, P._up_adj)
+    return D
 
 
 # -- isomorphism -------------------------------------------------------
@@ -762,7 +765,11 @@ def poset_from_data(data: Mapping) -> Poset:
         covers = data["covers"]
     except (KeyError, TypeError):
         raise PosetError('poset JSON needs "elements" and "covers"') from None
-    return build_poset(list(elements), [(a, b) for (a, b) in covers])
+    try:
+        return build_poset(list(elements), [(a, b) for (a, b) in covers])
+    except TypeError:  # not lists, or a label that is a list or object
+        raise PosetError('poset JSON needs lists of "elements" and of "covers" '
+                         'pairs, with no label a list or object') from None
 
 
 def poset_to_json(P: Poset) -> str:

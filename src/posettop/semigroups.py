@@ -13,10 +13,11 @@ the layers of a down-closed set of elements: a cover adds one generator.
 ``lower_interval`` runs it on the layers of the elements below one
 element; the Koszul test runs it once on every element up to its rank
 bound, takes the dual (an adjacency swap), and judges each interval
-(0, x) as (x, 0) inside that one poset, all from one critical-chain
-pass.  Since a cover raises the degree by one, [0, x] is graded by
-degree, so (0, x) is pure and, for deg x >= 2, holds the generators
-below x: the test needs no emptiness or purity check.
+(0, x) as (x, 0) inside that one poset, by one call of the Cohen-Macaulay
+test's interval sweep (``cohen_macaulay._undecided_intervals``) down
+from the zero element.  Since a cover raises the degree by one, [0, x]
+is graded by degree, so (0, x) is pure and, for deg x >= 2, holds the
+generators below x: the test needs no emptiness or purity check.
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ from itertools import chain, count, islice
 from operator import add, le, lshift, sub
 from typing import Iterable, Optional, Sequence
 
-from .cohen_macaulay import _interval_homology, _summary_violations, cm_coefficient_name
-from .homology import _chains_in_dim, _critical_chains, parse_coefficients
+from .cohen_macaulay import _summary_violations, _undecided_intervals, cm_coefficient_name
+from .homology import parse_coefficients
 from .posets import Poset, SizeLimitError, dual, induced_subposet
 
 DEFAULT_LAYER_CAP = 200_000
@@ -295,19 +296,21 @@ def koszul_necessary_test(S: HomogeneousSemigroup, max_rank: int,
     """Test the Koszul interval criterion for all elements of degree at
     most ``max_rank`` (which must be at least 2).
 
-    One poset, the dual of the divisibility order on every element of
-    degree at most ``max_rank``, is built; each interval (0, x) is judged
-    inside it as (x, 0), which has the same order complex, by the
-    Cohen-Macaulay sweep's rule with rank gap ``m`` for an element of
-    degree ``m``.  Every generator has degree one, so a cover adds one
-    generator and [0, x] is graded by degree: the interval is pure, and
-    for ``m >= 2`` nonempty, so neither needs a check.  A degree-2
-    interval is an antichain and passes without a homology computation.
-    One pass of ``_critical_chains`` down from the zero element, the
-    dual's top, gives the critical chains of every (x, 0) at once.  An
-    interval whose critical chains all sit in dimension ``m - 2`` has
-    free homology there only and passes without a homology summary; any
-    other goes to ``_interval_homology`` and the sweep's rule.
+    One poset ``D``, the dual of the divisibility order on every element
+    of degree at most ``max_rank``, is built; each interval (0, x) is
+    judged inside it as (x, 0), which has the same order complex, by the
+    Cohen-Macaulay test's rule with rank gap ``deg x``.  Every generator
+    has degree one, so a cover adds one generator and [0, x] is graded
+    by degree: the interval is pure, and for ``deg x >= 2`` nonempty, so
+    neither needs a check, and minus the degree is a rank function of
+    ``D``.  One call of ``_undecided_intervals`` down from the zero
+    element, the top of ``D``, lists the intervals whose critical-chain
+    sizes leave them open, with their homology; every other interval,
+    the antichains of degree 2 among them, has free homology in
+    dimension ``deg x - 2`` only and passes.  The report names the first
+    failing element by degree, then lexicographically, and counts the
+    elements of degree 2 and up as far as it, as a test that stops at its
+    first failure would.
     """
     if max_rank < 2:
         raise SemigroupError("need max_rank >= 2")
@@ -315,21 +318,13 @@ def koszul_necessary_test(S: HomogeneousSemigroup, max_rank: int,
     name = cm_coefficient_name(mode)
     layers = S.enumerate_up_to(max_rank)
     D = dual(_divisibility_order(S, layers))
-    crit = _critical_chains(D, 0)  # index 0 is the zero element
-    first = len(layers[0]) + len(layers[1]) + len(layers[2])  # first index of degree 3
-    j = first
-    for m in range(3, max_rank + 1):
-        for lam in layers[m]:
-            if not _chains_in_dim(crit.sizes(j), m - 2):
-                bad = _summary_violations(_interval_homology(D, j, 0, crit.sizes(j)), m, mode)
-                if bad:
-                    runs = j - first + 1
-                    return KoszulReport(False, max_rank, name, witness=(lam, "; ".join(bad)),
-                                        elements_checked=len(layers[2]) + runs,
-                                        homology_runs=runs)
-            j += 1
-    runs = j - first
-    return KoszulReport(True, max_rank, name,
+    rank = [-m for m, layer in enumerate(layers) for _ in layer]  # a rank function of D
+    failures = [(x, bad) for x, summary in _undecided_intervals(D, rank, 0)
+                if (bad := _summary_violations(summary, -rank[x], mode))]
+    x, bad = min(failures, default=(len(D) - 1, ()))  # no failure: count every element
+    runs = x + 1 - len(layers[0]) - len(layers[1]) - len(layers[2])  # degree 3 up to x
+    return KoszulReport(not bad, max_rank, name,
+                        witness=(D.labels[x], "; ".join(bad)) if bad else None,
                         elements_checked=len(layers[2]) + runs, homology_runs=runs)
 
 

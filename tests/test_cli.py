@@ -268,6 +268,28 @@ class TestErrors:
         code, _ = run_cli(capsys, "cm", "/nonexistent/p.json")
         assert code == 2
 
+    @pytest.mark.parametrize("command, data", [
+        ("homology", {"vertices": [1, 2], "facets": 5}),
+        ("homology", {"vertices": 5, "facets": []}),
+        ("homology", {"vertices": ["a"], "facets": [5]}),
+        ("homology", {"vertices": [[1], 2], "facets": [[[1], 2]]}),
+        ("cm", {"elements": ["a"], "covers": 5}),
+        ("cm", {"elements": 5, "covers": []}),
+        ("cm", {"elements": [["x"], "b"], "covers": []}),
+        ("cm", {"elements": ["a", "b"], "covers": [[["a"], "b"]]}),
+    ], ids=["facets-int", "vertices-int", "facet-int", "list-vertex",
+            "covers-int", "elements-int", "list-element", "list-cover-label"])
+    def test_malformed_structure_is_usage_error(self, capsys, tmp_path, command, data):
+        # valid JSON of the wrong shape is refused in one line, not with a
+        # traceback and exit 1 (which reads as a failed check)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        code = main([command, str(bad)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
     def test_size_limit_is_exit_2(self, capsys, tmp_path, monkeypatch):
         # a layer cap of 10 makes the real enumeration stop at degree 2
         s = tmp_path / "s.json"

@@ -25,7 +25,6 @@ from posettop.homology import (
     HomologySummary,
     _cascade,
     _cell_complex,
-    _chains_in_dim,
     _critical_chains,
     _morse_summary,
     betti,
@@ -539,24 +538,37 @@ class TestCriticalChains:
         assert _morse_summary([]).is_trivial()
 
     def test_chains_in_dim(self):
-        assert _chains_in_dim([], 3)
-        assert _chains_in_dim([0], -1)
-        assert _chains_in_dim([2, 2, 2], 1)
-        assert not _chains_in_dim([2, 3], 1)
-        assert not _chains_in_dim([3], 1)
-        # where it holds, the certified homology is free in that dimension,
-        # and the decoded chains all have that many elements
+        # the interval sweep leaves (z, y) open exactly when a critical
+        # chain has other than gap - 1 elements; the intervals it passes
+        # have free homology in dimension gap - 2, and the ones it leaves
+        # come with their homology
+        from posettop.cohen_macaulay import _undecided_intervals
+        from posettop.complexes import face_poset
+        from posettop.posets import augment, rank_info
         rng = random.Random(113)
-        for _ in range(20):
-            P = shuffled(random_pure_bounded_poset(rng), rng)
+        posets = [shuffled(random_pure_bounded_poset(rng), rng) for _ in range(20)]
+        # these two fail the CM test
+        posets += [augment(face_poset(projective_plane())),
+                   augment(build_poset("abcd", [("a", "b"), ("c", "d")]))]
+        passed = left = 0
+        for P in posets:
+            rank = [rank_info(P).rank[x] for x in P.labels]
             for y in range(len(P)):
                 crit = _critical_chains(P, y)
+                undecided = dict(_undecided_intervals(P, rank, y))
                 for z, chains in decode_critical_chains(crit).items():
-                    for d in {c.bit_count() - 1 for c in chains}:
-                        if _chains_in_dim(crit.sizes(z), d):
-                            assert all(c.bit_count() == d + 1 for c in chains)
-                            summary = _morse_summary(crit.sizes(z))
-                            assert summary.is_free() and summary.concentrated_in(d)
+                    gap = rank[y] - rank[z]
+                    if all(c.bit_count() == gap - 1 for c in chains):
+                        passed += 1
+                        assert z not in undecided
+                        summary = _morse_summary(crit.sizes(z))
+                        assert summary.is_free() and summary.concentrated_in(gap - 2)
+                    else:
+                        left += 1
+                        interval = open_interval(P, P.labels[z], P.labels[y])
+                        assert undecided.pop(z) == integral_homology(order_complex(interval))
+                assert undecided == {}
+        assert passed > 0 and left > 0
 
     def test_top_pass_on_the_papers_posets(self):
         # critical cells per dimension of (0^, 1^) in augment(P) under the

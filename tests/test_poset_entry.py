@@ -1,9 +1,13 @@
-"""No package module calls the checked ``Poset(labels, covers)`` constructor.
+"""Calls that only some package modules may make, found with ``ast``.
 
 ``Poset(...)`` is the public, validating entry for posets from outside.
 Library posets are built through ``Poset._assemble``, ``poset_from_order``
-or ``build_poset``, so each module of ``src/posettop`` is parsed with
-``ast`` and any call of a name or attribute ``Poset`` is reported.
+or ``build_poset``, so no module of ``src/posettop`` calls a name or
+attribute ``Poset``.
+
+``homology._critical_chains`` serves one interval sweep,
+``cohen_macaulay._undecided_intervals``, which both the Cohen-Macaulay
+and the Koszul tests call, so ``cohen_macaulay.py`` is its only caller.
 """
 
 import ast
@@ -15,16 +19,21 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "posettop"
 MODULES = sorted(SRC.glob("*.py"))
 
 
-def poset_calls(source: str) -> list[int]:
-    """Line numbers of the calls ``Poset(...)`` and ``<x>.Poset(...)``."""
+def calls(source: str, callee: str) -> list[int]:
+    """Line numbers of the calls ``callee(...)`` and ``<x>.callee(...)``."""
     lines = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Call):
             f = node.func
             name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
-            if name == "Poset":
+            if name == callee:
                 lines.append(node.lineno)
     return sorted(lines)
+
+
+def poset_calls(source: str) -> list[int]:
+    """Line numbers of the calls ``Poset(...)`` and ``<x>.Poset(...)``."""
+    return calls(source, "Poset")
 
 
 def test_modules_are_found():
@@ -42,3 +51,9 @@ def test_the_check_sees_a_call():
               "Q = posets.Poset._assemble((), [])\n"
               "R = posets.Poset(('a',), ())\n")
     assert poset_calls(source) == [2, 4]
+
+
+def test_only_the_interval_sweep_runs_critical_chain_passes():
+    callers = {p.name for p in MODULES if calls(p.read_text(), "_critical_chains")}
+    assert callers == {"cohen_macaulay.py"}
+    assert calls("crit = homology._critical_chains(A, j)\n", "_critical_chains") == [1]

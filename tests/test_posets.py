@@ -391,6 +391,17 @@ class TestDual:
             P = random_poset(rng, rng.randint(0, 9))
             assert dual(dual(P)) == P
 
+    def test_shares_the_label_index(self):
+        # no label is hashed again; the order data is the reversed order's
+        rng = random.Random(7)
+        for _ in range(20):
+            P = random_poset(rng, rng.randint(0, 9))
+            D = dual(P)
+            assert D._index is P._index
+            assert all(D.index(x) == i for i, x in enumerate(P.labels))
+            assert D.above_masks() == P.below_masks()
+            assert D.covers == tuple(sorted((j, i) for i, j in P.covers))
+
     def test_v_becomes_wedge(self):
         V = build_poset(["b", "t1", "t2"], [("b", "t1"), ("b", "t2")])
         L = dual(V)

@@ -12,7 +12,6 @@ from posettop.cohen_macaulay import (
 from posettop.complexes import order_complex
 from posettop.constructions import boolean, chain, rees, weighted_segre
 from posettop.homology import (
-    _chains_in_dim,
     _critical_chains,
     integral_homology,
     parse_coefficients,
@@ -118,9 +117,9 @@ def two_poset_koszul(S, max_rank, coeffs):
             checked += 1
             runs += 1
             j = T.index(lam)
-            if _chains_in_dim(crit.sizes(j), m - 2):
+            if all(s == m - 1 for s in crit.sizes(j)):
                 continue
-            summary = semigroups._interval_homology(T, 0, j, crit.sizes(j))
+            summary = cohen_macaulay._interval_homology(T, 0, j, crit.sizes(j))
             bad = _summary_violations(summary, m, mode)
             if bad:
                 return KoszulReport(False, max_rank, name, witness=(lam, "; ".join(bad)),
@@ -318,6 +317,29 @@ class TestKoszulTest:
                 assert rep == reference_koszul(make(), r, coeffs), (name, coeffs)
                 assert rep.passed == koszul, (name, coeffs)
 
+    def test_witness_is_the_least_failing_element(self):
+        # several intervals fail, and the critical-chain pass down from
+        # the zero element meets them out of index order; the report is
+        # still the early-exit reference's
+        cases = [([(4, 0), (3, 1), (1, 3), (0, 4)], (3, 4, 5)),
+                 ([(3, 0), (2, 1), (0, 3)], (5,))]
+        for gens, ranks in cases:
+            S = build_semigroup(gens)
+            for r in ranks:
+                for coeffs in ("Q", 2, "z-spherical"):
+                    rep = koszul_necessary_test(S, r, coeffs)
+                    assert rep == reference_koszul(S, r, coeffs), (gens, r, coeffs)
+                    assert not rep.passed
+            layers = S.enumerate_up_to(ranks[-1])
+            failing = [lam for m in range(3, ranks[-1] + 1) for lam in layers[m]
+                       if _summary_violations(
+                           integral_homology(order_complex(open_interval_below(S, lam))), m, "Q")]
+            assert len(failing) > 1
+            assert rep.witness[0] == failing[0]
+            D = dual(semigroups._divisibility_order(S, layers))
+            met = list(map(D.labels.__getitem__, _critical_chains(D, 0).chains))
+            assert sorted(failing, key=met.index) != failing
+
     def test_matches_the_two_poset_path(self):
         # the packed divisibility builder and the dict-based one give the
         # same dual poset, critical-chain ids and reports
@@ -364,9 +386,8 @@ class TestKoszulTest:
                 calls.append(name)
                 return fn(*args)
             return traced
-        for module, name in ((semigroups, "_interval_homology"),
-                             (cohen_macaulay, "_morse_summary")):
-            monkeypatch.setattr(module, name, spy(name, getattr(module, name)))
+        for name in ("_interval_homology", "_morse_summary"):
+            monkeypatch.setattr(cohen_macaulay, name, spy(name, getattr(cohen_macaulay, name)))
         rep = koszul_necessary_test(natural_semigroup(3), 4)
         assert calls == []
         # the counts are those of the sweep that summarised every interval
@@ -381,7 +402,7 @@ class TestKoszulTest:
         def spy(P, y):
             calls.append(y)
             return _critical_chains(P, y)
-        monkeypatch.setattr(semigroups, "_critical_chains", spy)
+        monkeypatch.setattr(cohen_macaulay, "_critical_chains", spy)
         for S in (natural_semigroup(3), punctured_veronese_semigroup(3)):
             calls.clear()
             rep = koszul_necessary_test(S, 4)
