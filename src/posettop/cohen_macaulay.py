@@ -23,7 +23,10 @@ homology from ``_interval_homology``: the critical chains fix it when
 no two sit in adjacent dimensions (free, one generator per chain), and
 otherwise the homology engine, ``integral_homology`` of the interval's
 order complex, fixes torsion and the failure text.  ``is_acyclic_over``
-takes the same two steps on the one interval (0^, 1^).
+takes the same two steps on the one interval (0^, 1^).  No empty
+interval reaches these steps: the sweep passes cover pairs by their lone
+empty chain, and ``is_acyclic_over`` answers a lone chain size itself,
+so ``_summary_violations`` judges a summary of a nonempty interval.
 """
 
 from __future__ import annotations
@@ -170,18 +173,16 @@ def _interval_homology(A: Poset, i: int, j: int, sizes) -> HomologySummary:
     return summary
 
 
-def _summary_violations(summary: Optional[HomologySummary], gap: int, coeffs):
+def _summary_violations(summary: HomologySummary, gap: int, coeffs):
     """Nonzero homology dimensions outside ``gap - 2``, for the mode.
 
-    ``coeffs`` is a parsed selector: ``"Z"`` is the spherical mode, which
-    also rejects torsion in dimension ``gap - 2``.  ``summary`` is ``None``
-    for an interval decided without one; it passes.
+    ``summary`` is the integral homology of a nonempty open interval of
+    rank gap ``gap``: ``_undecided_intervals`` decides the empty ones
+    (cover pairs) by their chain sizes.  ``coeffs`` is a parsed selector:
+    ``"Z"`` is the spherical mode, which also rejects torsion in
+    dimension ``gap - 2``.
     """
     d = gap - 2
-    if summary is None:
-        return ()
-    if summary.empty_complex:
-        return () if d == -1 else ("H~-1 = Z (empty interval)",)
     if coeffs == "Z":
         bad = []
         for i in summary.nonzero_dims():
@@ -223,11 +224,8 @@ def is_cm_poset(P: Poset, coeffs: CoeffSpec = "Q", use_cache: bool = True) -> CM
     return CMReport(not failures, name, failures=tuple(failures))
 
 
-def is_cm_complex(K, coeffs: CoeffSpec = "Q", use_cache: bool = True) -> CMReport:
-    """Cohen-Macaulayness of a complex via its face poset.
-
-    ``use_cache`` is accepted for compatibility and has no effect.
-    """
+def is_cm_complex(K, coeffs: CoeffSpec = "Q") -> CMReport:
+    """Cohen-Macaulayness of a complex via its face poset."""
     from .complexes import face_poset
     if K.is_void:
         raise PosetError("the void complex is excluded from CM analysis")

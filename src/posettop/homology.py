@@ -314,17 +314,19 @@ def _critical_chains(P: Poset, y: int) -> _CriticalChains:
 
 def _morse_summary(sizes) -> Optional[HomologySummary]:
     """Integral homology from the sizes of the critical chains of an
-    acyclic matching, or ``None`` when two of them sit in adjacent
-    dimensions.
+    acyclic matching on a nonempty interval, or ``None`` when two of them
+    sit in adjacent dimensions.
 
     Otherwise every boundary map of the Morse complex is zero, so the
-    homology is free with one generator per critical chain.
+    homology is free with one generator per critical chain.  The empty
+    chain, of size 0, is critical only on an empty interval, and no caller
+    hands one in: ``cohen_macaulay._undecided_intervals`` passes cover
+    pairs by their chain sizes, and ``is_acyclic_over`` answers a lone
+    chain size itself.
     """
     counts = Counter(s - 1 for s in sizes)
     if any(d + 1 in counts for d in counts):
         return None
-    if -1 in counts:
-        return make_summary("Z", {}, empty_complex=True)
     return make_summary("Z", {d: (c, ()) for d, c in counts.items()})
 
 

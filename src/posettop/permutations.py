@@ -184,18 +184,3 @@ def falling_chains_segre_square(n: int) -> int:
             stack.append((y, label))
     return total
 
-
-def pairs_with_nested_descents(n: int) -> int:
-    """Pairs of permutations where the first's descent set is contained
-    in the second's; equinumerous with the no-common-ascent pairs."""
-    if n < 1:
-        raise ValueError("need n >= 1")
-    if n > 6:
-        raise ValueError("brute-force bound is n <= 6")
-    perms = list(itertools.permutations(range(1, n + 1)))
-    descents = [descent_set(p) for p in perms]
-    return sum(1 for d1 in descents for d2 in descents if d1 <= d2)
-
-
-def reversal(w: Word) -> tuple[int, ...]:
-    return tuple(reversed(_letters(w)))

@@ -38,7 +38,8 @@ class ImpurePosetError(PosetError):
 
 
 class SizeLimitError(RuntimeError):
-    """A configurable size cutoff was exceeded."""
+    """A fixed size cutoff (``ISO_SIZE_LIMIT``, ``semigroups.LAYER_CAP``)
+    was exceeded; the CLI maps it to exit 2."""
 
 
 class Bound:
@@ -631,7 +632,10 @@ def _classes(colors: list[int]) -> dict[int, list[int]]:
     return out
 
 
-def find_isomorphism(P: Poset, Q: Poset, size_limit: int = 512) -> Optional[dict]:
+ISO_SIZE_LIMIT = 512  # most elements an isomorphism search takes
+
+
+def find_isomorphism(P: Poset, Q: Poset) -> Optional[dict]:
     """Order isomorphism ``P -> Q`` as a label dict, or ``None``.
 
     Individualization-refinement (McKay-Piperno, *Practical graph
@@ -642,7 +646,8 @@ def find_isomorphism(P: Poset, Q: Poset, size_limit: int = 512) -> Optional[dict
     it sends covers to covers.  If every class is a single element that map
     was the only candidate; else one element of a smallest class gets a
     fresh colour and is paired in turn with each element of its colour in
-    ``Q``.  Raises :class:`SizeLimitError` above ``size_limit`` elements.
+    ``Q``.  Posets of equal size above ``ISO_SIZE_LIMIT`` elements raise
+    :class:`SizeLimitError`.
 
     >>> D = build_poset("0xy1", [("0", "x"), ("0", "y"), ("x", "1"), ("y", "1")])
     >>> B2 = build_poset([(), (1,), (2,), (1, 2)],
@@ -652,9 +657,10 @@ def find_isomorphism(P: Poset, Q: Poset, size_limit: int = 512) -> Optional[dict
     """
     if len(P) != len(Q):
         return None
-    if len(P) > size_limit:
+    if len(P) > ISO_SIZE_LIMIT:
         raise SizeLimitError(
-            f"isomorphism search limited to {size_limit} elements, got {len(P)}")
+            f"isomorphism search limited to ISO_SIZE_LIMIT = {ISO_SIZE_LIMIT} "
+            f"elements, got {len(P)}")
     if len(P.covers) != len(Q.covers):
         return None
     n = len(P)
@@ -688,8 +694,8 @@ def find_isomorphism(P: Poset, Q: Poset, size_limit: int = 512) -> Optional[dict
     return {P.labels[i]: Q.labels[img[i]] for i in range(n)}
 
 
-def is_isomorphic(P: Poset, Q: Poset, size_limit: int = 512) -> bool:
-    return find_isomorphism(P, Q, size_limit=size_limit) is not None
+def is_isomorphic(P: Poset, Q: Poset) -> bool:
+    return find_isomorphism(P, Q) is not None
 
 
 # -- poset maps --------------------------------------------------------

@@ -32,7 +32,7 @@ from .cohen_macaulay import _summary_violations, _undecided_intervals, cm_coeffi
 from .homology import parse_coefficients
 from .posets import Poset, SizeLimitError, dual, induced_subposet
 
-DEFAULT_LAYER_CAP = 200_000
+LAYER_CAP = 200_000  # most elements of one degree layer
 
 
 class SemigroupError(ValueError):
@@ -58,18 +58,20 @@ def _sub(a: Vector, b: Vector) -> Vector:
 
 
 class HomogeneousSemigroup:
-    """Affine semigroup whose minimal generators share degree one."""
+    """Affine semigroup whose minimal generators share degree one.
 
-    __slots__ = ("dim", "generators", "weight", "scale", "_layers", "_layer_sets",
-                 "layer_cap")
+    Layers are enumerated on demand; one of more than ``LAYER_CAP``
+    elements raises :class:`SizeLimitError` (exit 2 in the CLI).
+    """
+
+    __slots__ = ("dim", "generators", "weight", "scale", "_layers", "_layer_sets")
 
     def __init__(self, dim: int, generators: Sequence[Vector], weight: Vector,
-                 scale: int, layer_cap: int = DEFAULT_LAYER_CAP):
+                 scale: int):
         self.dim = dim
         self.generators = tuple(sorted(set(generators)))
         self.weight = weight
         self.scale = scale
-        self.layer_cap = layer_cap
         zero = (0,) * dim
         self._layers: list[list[Vector]] = [[zero]]
         self._layer_sets: list[set] = [{zero}]
@@ -105,10 +107,10 @@ class HomogeneousSemigroup:
             for x in prev:
                 for g in self.generators:
                     nxt.add(_add(x, g))
-            if len(nxt) > self.layer_cap:
+            if len(nxt) > LAYER_CAP:
                 raise SizeLimitError(
                     f"layer {len(self._layers)} has {len(nxt)} elements, "
-                    f"cap is {self.layer_cap}")
+                    f"LAYER_CAP is {LAYER_CAP}")
             self._layers.append(sorted(nxt))
             self._layer_sets.append(nxt)
 
@@ -128,14 +130,15 @@ class HomogeneousSemigroup:
 
 def build_semigroup(generators: Iterable[Iterable[int]],
                     weight: Iterable[int] | None = None,
-                    scale: int | None = None,
-                    layer_cap: int = DEFAULT_LAYER_CAP) -> HomogeneousSemigroup:
+                    scale: int | None = None) -> HomogeneousSemigroup:
     """Validated homogeneous semigroup from generators and a degree
     functional ``(weight, scale)`` with ``weight . g = scale > 0`` for
     every generator.
 
     Without an explicit functional, the all-ones weight is used and the
-    common coordinate sum of the generators is the scale.
+    common coordinate sum of the generators is the scale.  Enumerating a
+    layer of more than ``LAYER_CAP`` elements raises
+    :class:`SizeLimitError` (exit 2 in the CLI).
 
     >>> N2 = build_semigroup([(1, 0), (0, 1)])
     >>> N2.degree((2, 3))
@@ -169,7 +172,7 @@ def build_semigroup(generators: Iterable[Iterable[int]],
         raise SemigroupError(
             f"generators are not homogeneous: functional values "
             f"{sorted(set(values))} (scaled degrees differ)")
-    return HomogeneousSemigroup(dim, gens, weight, scale, layer_cap=layer_cap)
+    return HomogeneousSemigroup(dim, gens, weight, scale)
 
 
 def natural_semigroup(d: int) -> HomogeneousSemigroup:

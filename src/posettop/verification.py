@@ -58,6 +58,8 @@ WORD_IDEAL_HOMOLOGY = {
 
 MOBIUS_PINNED = {1: 1, 2: 3, 3: 19}
 
+ORACLE_SEED = 20240211  # seeds the random complexes of the oracle block
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -196,14 +198,15 @@ def run_verification(table_max_n: int = 6,
                      rees_max_n: int = 6,
                      subword_max_n: int = 5,
                      mobius_max_n: int = 5,
-                     oracle_samples: int = 100,
-                     seed: int = 20240211) -> VerificationReport:
+                     oracle_samples: int = 100) -> VerificationReport:
     """Run every verification block and return the combined report.
 
     The default bounds match the documented budget (one process,
     13-19 s measured on a 2-core Intel Xeon host with Python 3.11,
     dominated by the n = 6 table row).
-    Larger bounds are available behind the explicit arguments.
+    Larger bounds are available behind the explicit arguments.  The
+    oracle block draws its random complexes from ``ORACLE_SEED``, so the
+    checks a run makes depend on its bounds only.
     """
     results: list[CheckResult] = []
     table_cells = []
@@ -306,7 +309,7 @@ def run_verification(table_max_n: int = 6,
     results.append(_semigroup_interval_check())
 
     # block 8: homology engine oracles
-    results.extend(_oracle_block(oracle_samples, seed))
+    results.extend(_oracle_block(oracle_samples))
 
     return VerificationReport(tuple(results), tuple(table_cells))
 
@@ -372,9 +375,9 @@ def _semigroup_interval_check() -> CheckResult:
         time.perf_counter() - t0)
 
 
-def _oracle_block(samples: int, seed: int) -> list[CheckResult]:
+def _oracle_block(samples: int) -> list[CheckResult]:
     results = []
-    rng = random.Random(seed)
+    rng = random.Random(ORACLE_SEED)
 
     # boundary composition is zero on a random corpus
     t0 = time.perf_counter()

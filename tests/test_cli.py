@@ -294,12 +294,11 @@ class TestErrors:
         # a layer cap of 10 makes the real enumeration stop at degree 2
         s = tmp_path / "s.json"
         run_cli(capsys, "-o", str(s), "semigroup", "natural", "--d", "5")
-        monkeypatch.setattr(cli, "semigroup_from_json", lambda text: semigroups.build_semigroup(
-            semigroups.semigroup_from_json(text).generators, layer_cap=10))
+        monkeypatch.setattr(semigroups, "LAYER_CAP", 10)
         code = main(["semigroup", "koszul-test", str(s), "--max-rank", "3"])
         err = capsys.readouterr().err
         assert code == 2
-        assert err == "error: layer 2 has 15 elements, cap is 10\n"
+        assert err == "error: layer 2 has 15 elements, LAYER_CAP is 10\n"
 
     def test_out_of_memory_is_exit_2(self, capsys, monkeypatch):
         # exit 1 would read as a failed check, so a MemoryError is a limit

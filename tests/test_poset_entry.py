@@ -8,6 +8,10 @@ attribute ``Poset``.
 ``homology._critical_chains`` serves one interval sweep,
 ``cohen_macaulay._undecided_intervals``, which both the Cohen-Macaulay
 and the Koszul tests call, so ``cohen_macaulay.py`` is its only caller.
+The verdict helpers assume a nonempty interval, which only that sweep
+and ``is_acyclic_over`` guarantee: ``_interval_homology`` and
+``homology._morse_summary`` are called from ``cohen_macaulay.py`` only,
+and ``_summary_violations`` also from the Koszul test in ``semigroups.py``.
 """
 
 import ast
@@ -57,3 +61,13 @@ def test_only_the_interval_sweep_runs_critical_chain_passes():
     callers = {p.name for p in MODULES if calls(p.read_text(), "_critical_chains")}
     assert callers == {"cohen_macaulay.py"}
     assert calls("crit = homology._critical_chains(A, j)\n", "_critical_chains") == [1]
+
+
+@pytest.mark.parametrize("callee, allowed", [
+    ("_summary_violations", {"cohen_macaulay.py", "semigroups.py"}),
+    ("_interval_homology", {"cohen_macaulay.py"}),
+    ("_morse_summary", {"cohen_macaulay.py"}),
+])
+def test_verdict_helpers_take_only_sweep_intervals(callee, allowed):
+    callers = {p.name for p in MODULES if calls(p.read_text(), callee)}
+    assert callers and callers <= allowed

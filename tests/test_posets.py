@@ -4,8 +4,9 @@ import time
 
 import pytest
 
-from posettop.constructions import boolean, rees_deranged, subword
+from posettop.constructions import boolean, chain, rees_deranged, subword
 from posettop.posets import (
+    ISO_SIZE_LIMIT,
     Bound,
     ImpurePosetError,
     Poset,
@@ -13,6 +14,7 @@ from posettop.posets import (
     PosetMap,
     PurityFailure,
     RankInfo,
+    SizeLimitError,
     augment,
     bounds,
     build_poset,
@@ -458,6 +460,16 @@ class TestIsomorphism:
     def test_boolean_self_dual(self):
         B3 = boolean_lattice(3)
         assert is_isomorphic(B3, dual(B3))
+
+    def test_size_limit(self):
+        assert ISO_SIZE_LIMIT == 512
+        assert is_isomorphic(chain(512), chain(512))
+        P = chain(513)
+        for search in (find_isomorphism, is_isomorphic):
+            with pytest.raises(SizeLimitError, match="ISO_SIZE_LIMIT = 512 elements, got 513"):
+                search(P, chain(513))
+        # posets of different sizes are told apart before the limit
+        assert find_isomorphism(P, chain(512)) is None
 
     def test_reflexive_symmetric_on_random_corpus(self):
         rng = random.Random(13)

@@ -18,6 +18,7 @@ from posettop.homology import (
 )
 from posettop.posets import (
     PurityFailure,
+    SizeLimitError,
     dual,
     is_isomorphic,
     rank_info,
@@ -90,12 +91,11 @@ def reference_koszul(S, max_rank, coeffs):
             info = rank_info(P)
             if len(P) == 0 or isinstance(info, PurityFailure):
                 bad = ("empty or impure",)
+            elif m == 2:
+                bad = ()  # an antichain: free homology in dimension 0 only
             else:
-                summary = None
-                if m > 2:
-                    summary = integral_homology(order_complex(P))
-                    runs += 1
-                bad = _summary_violations(summary, m, mode)
+                runs += 1
+                bad = _summary_violations(integral_homology(order_complex(P)), m, mode)
             if bad:
                 return KoszulReport(False, max_rank, name, witness=(lam, "; ".join(bad)),
                                     elements_checked=checked, homology_runs=runs)
@@ -209,9 +209,10 @@ class TestEnumeration:
         layers = N.enumerate_up_to(5)
         assert [x for layer in layers for x in layer] == [(m,) for m in range(6)]
 
-    def test_layer_cap(self):
-        S = build_semigroup([(1, 0), (0, 1)], layer_cap=3)
-        with pytest.raises(Exception, match="cap"):
+    def test_layer_cap(self, monkeypatch):
+        monkeypatch.setattr(semigroups, "LAYER_CAP", 3)
+        S = build_semigroup([(1, 0), (0, 1)])
+        with pytest.raises(SizeLimitError, match="layer 3 has 4 elements, LAYER_CAP is 3"):
             S.enumerate_up_to(4)
 
     def test_membership(self):
