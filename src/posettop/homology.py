@@ -447,35 +447,29 @@ class _CellComplex:
 
 def _cell_complex(K: SimplicialComplex) -> _CellComplex:
     """The chain tree of ``K``'s faces.  An order complex's states are its
-    vertices, plus one for the empty face; an explicit complex's are the
-    distinct keys of its cells, ints whose bits below the vertex count are
-    the up-mask and whose bits above are the facets through the cell."""
+    vertices, plus one for the empty face.  An explicit complex's state of
+    a cell is the set of the parts of the facets through it that lie past
+    its last vertex, as vertex-bit ints; the empty face's parts are the
+    whole facets.  One walk over a state's parts files ``t & (-2 << j)``
+    under each vertex j of part t, and the child at j is the state filed
+    under j, so the up-mask is the union of the parts."""
     P = K.source_poset
     if P is not None:
         nv = len(P)
         verts = [list(iter_bits(m)) for m in P.above_masks()]
         verts.append(list(range(nv)))
         return _CellComplex(verts, verts, nv, True)
-    nv = len(K.vertices)
-    spans = []  # vertex mask of each facet
-    through = [0] * nv  # facets through each vertex, as key bits
-    root = 0
-    for b, f in enumerate(K.facets):
-        bit = 1 << (nv + b)
-        spans.append(sum(1 << v for v in f))
-        root |= bit | spans[b]
-        for v in f:
-            through[v] |= bit
+    root = frozenset(sum(1 << v for v in f) for f in K.facets)
     keys, index, verts, kids = [root], {root: 0}, [], []
-    for key in keys:  # grows as new keys turn up
-        verts.append(list(iter_bits(key & ((1 << nv) - 1))))
+    for key in keys:  # grows as new states turn up
+        filed: dict[int, set] = {}
+        for t in key:
+            for j in iter_bits(t):
+                filed.setdefault(j, set()).add(t & (-2 << j))
+        verts.append(sorted(filed))
         kids.append([])
         for j in verts[-1]:
-            facets = key & through[j]
-            up = 0
-            for b in iter_bits(facets >> nv):
-                up |= spans[b]
-            child = facets | (up >> (j + 1) << (j + 1))
+            child = frozenset(filed[j])
             if child not in index:
                 index[child] = len(keys)
                 keys.append(child)
@@ -532,12 +526,7 @@ def _cascade(cx: _CellComplex) -> list[bytearray]:
                     flags[j] = below[i] = 0
                     removed = True
                 j = flags.find(1, j + 1)
-    for flags in alive:
-        j = flags.find(2)
-        while j >= 0:
-            flags[j] = 1
-            j = flags.find(2, j + 1)
-    return alive
+    return [flags.replace(b"\x02", b"\x01") for flags in alive]
 
 
 def _residual_homology(cx: _CellComplex, alive) -> HomologySummary:

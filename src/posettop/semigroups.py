@@ -25,12 +25,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, count, islice
-from operator import add, le, lshift, sub
+from operator import add, lshift, sub
 from typing import Iterable, Optional, Sequence
 
 from .cohen_macaulay import _summary_violations, _undecided_intervals, cm_coefficient_name
 from .homology import parse_coefficients
-from .posets import Poset, SizeLimitError, dual, induced_subposet
+from .posets import Poset, SizeLimitError, dual, open_interval
 
 LAYER_CAP = 200_000  # most elements of one degree layer
 
@@ -237,26 +237,28 @@ def lower_interval(S: HomogeneousSemigroup, element: Iterable[int]) -> Poset:
     """Divisibility interval [0, element] as a poset; elements are the
     semigroup members below ``element`` by degree, then lexicographically,
     and covers add one generator (``_divisibility_order``, the Koszul
-    test's builder)."""
+    test's builder).
+
+    The interval is grown down from ``element``: its degree-(m - 1) layer
+    is every x - g, over x in its degree-m layer and the generators g,
+    that is a member of degree m - 1, so only its own members are visited.
+    """
     lam = _vec(element, S.dim, "element")
     deg = S.degree(lam)
     if deg < 0 or not S.contains(lam, degree_hint=deg):
         raise SemigroupError(f"{lam} is not reached by enumeration")
-    members = []
-    for m, layer in enumerate(S.enumerate_up_to(deg)):
-        members.append([mu for mu in layer
-                        if all(map(le, mu, lam))
-                        and S.contains(_sub(lam, mu), degree_hint=deg - m)])
-    return _divisibility_order(S, members)
+    members = [[lam]]
+    for m in range(deg, 0, -1):
+        below = S.layer_set(m - 1)
+        members.append(sorted({mu for x in members[-1] for g in S.generators
+                               if (mu := _sub(x, g)) in below}))
+    return _divisibility_order(S, members[::-1])
 
 
 def open_interval_below(S: HomogeneousSemigroup, element: Iterable[int]) -> Poset:
     """The open interval (0, element) inside the divisibility order."""
-    P = lower_interval(S, element)
     lam = _vec(element, S.dim, "element")
-    zero = (0,) * S.dim
-    inner = [x for x in P.labels if x not in (zero, lam)]
-    return induced_subposet(P, inner)
+    return open_interval(lower_interval(S, lam), (0,) * S.dim, lam)
 
 
 # -- Koszul necessary condition -------------------------------------------

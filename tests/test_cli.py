@@ -437,6 +437,30 @@ class TestLazyImports:
         assert done.returncode == 0, done.stderr
 
 
+class TestExplicitHomologyScale:
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="sets a child's address-space limit")
+    def test_order_complex_route_on_a_word_ideal(self):
+        # the README's route through an explicit complex on I(6,2): its
+        # 41,040 facets fit in well under 1 GB, while keying the chain tree's
+        # states by one bit per facet took 1.3 GB; the address-space limit is
+        # set in the shell that runs the pipeline, so it binds every stage
+        # and not this process
+        import resource
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        cli = f"{sys.executable} -m posettop.cli"
+        command = (f"{cli} family fiber-ideal --n 6 --i 2 | {cli} complex order-complex"
+                   f" | {cli} homology")
+        done = subprocess.run(command, shell=True, env=env, preexec_fn=limit,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout) == {"coefficients": "Z", "dims": {}}
+
+
 def readme_shell_commands():
     """The commands of README's ``sh`` block under "Command line"."""
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text()

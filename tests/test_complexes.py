@@ -6,6 +6,7 @@ import pytest
 from posettop.complexes import (
     ComplexError,
     SimplicialComplex,
+    _drop_non_maximal,
     barycentric_subdivision,
     chain_count_by_size,
     complex_from_json,
@@ -53,6 +54,32 @@ class TestConstruction:
         assert empty_complex().dim == -1
         with pytest.raises(ComplexError):
             void_complex().dim
+
+    def test_nested_faces_dropped_at_codimension_one(self):
+        faces = {(0, 1, 2), (0, 1), (1, 2), (0, 2), (3,), (2, 3)}
+        assert sorted(_drop_non_maximal(faces)) == [(0, 1, 2), (2, 3)]
+
+    def test_nested_faces_dropped_at_higher_codimension(self):
+        faces = {(0, 1, 2, 3), (1,), (0, 3), (4,), (1, 2, 4)}
+        assert sorted(_drop_non_maximal(faces)) == [(0, 1, 2, 3), (1, 2, 4)]
+
+    def test_duplicate_facets_kept_once(self):
+        K = simplicial_complex("abc", [["a", "b"], ["b", "a"], ["a", "b", "a"], ["c"], ["c"]])
+        assert K.facets == ((0, 1), (2,))
+
+    def test_lone_empty_face(self):
+        assert _drop_non_maximal({()}) == [()]
+        assert _drop_non_maximal({(), (0,)}) == [(0,)]
+        assert simplicial_complex("a", [[]]).is_empty
+
+    def test_maximal_faces_match_pairwise_test(self):
+        rng = random.Random(8)
+        for _ in range(200):
+            nv = rng.randint(1, 7)
+            faces = {tuple(sorted(rng.sample(range(nv), rng.randint(0, nv))))
+                     for _ in range(rng.randint(1, 10))}
+            expected = {f for f in faces if not any(set(f) < set(g) for g in faces)}
+            assert sorted(_drop_non_maximal(faces)) == sorted(expected), faces
 
     def test_unknown_vertex(self):
         with pytest.raises(ComplexError):

@@ -256,6 +256,20 @@ class TestCellComplex:
         monkeypatch.setattr(homology_module, "_BLOCK", block)
         self.test_matches_tuple_builder()
 
+    def test_explicit_complex_matches_order_path(self):
+        # where index order is a linear extension, the explicit complex on an
+        # order complex's facets lays out the order path's chain tree: the
+        # parts of a chain's state cover exactly the elements above its top
+        from posettop.constructions import boolean, fiber_ideal, rees_deranged, subword
+        posets = [boolean(4), subword(4), rees_deranged(4), fiber_ideal(5, range(1, 6), 3).poset]
+        for P in posets:
+            assert all(m & ((2 << i) - 1) == 0 for i, m in enumerate(P.above_masks()))
+            K = order_complex(P)
+            cx = _cell_complex(K)
+            ex = _cell_complex(SimplicialComplex(K.vertices, K.facets))
+            assert ex.sizes == cx.sizes
+            assert ex.boundary == cx.boundary
+
     @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM")
     def test_build_memory_stays_near_the_arrays(self):
         # growth of peak RSS during the build of I(6,2)'s cell complex, against
