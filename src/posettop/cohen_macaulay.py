@@ -13,17 +13,19 @@ every interval.  Reports label this mode "Z-spherical" to keep the
 distinction honest.
 
 One interval sweep serves this test and the Koszul test of
-``semigroups``: ``_undecided_intervals`` takes one critical-chain pass
-(``homology._critical_chains``) down from an upper element and reads
-only the sizes of the chains it leaves.  An interval whose critical
-chains all sit in dimension ``gap - 2`` (there may be none) has free
-homology concentrated there and passes in every mode, so the sweep
-lists only the other intervals.  Each of them gets its integral
-homology from ``_interval_homology``: the critical chains fix it when
-no two sit in adjacent dimensions (free, one generator per chain), and
-otherwise the homology engine, ``integral_homology`` of the interval's
-order complex, fixes torsion and the failure text.  ``is_acyclic_over``
-takes the same two steps on the one interval (0^, 1^).  No empty
+``semigroups``: ``_undecided_intervals`` builds the place masks of its
+poset's ``topo_order()`` once (``homology._place_masks``), takes one
+critical-chain pass (``homology._critical_chains``) down from each upper
+element it is given, and reads only the sizes of the chains it leaves.
+An interval whose critical chains all sit in dimension ``gap - 2``
+(there may be none) has free homology concentrated there and passes in
+every mode, so the sweep lists only the other intervals.  Each of them
+gets its integral homology from ``_interval_homology``: the critical
+chains fix it when no two sit in adjacent dimensions (free, one
+generator per chain), and otherwise the homology engine,
+``integral_homology`` of the interval's order complex, fixes torsion and
+the failure text.  ``is_acyclic_over`` takes the same two steps on the
+one interval (0^, 1^).  No empty
 interval reaches these steps: the sweep passes cover pairs by their lone
 empty chain, and ``is_acyclic_over`` answers a lone chain size itself,
 so ``_summary_violations`` judges a summary of a nonempty interval.
@@ -32,13 +34,14 @@ so ``_summary_violations`` judges a summary of a nonempty interval.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from .complexes import order_complex
 from .homology import (
     HomologySummary,
     _critical_chains,
     _morse_summary,
+    _place_masks,
     field_name,
     integral_homology,
     parse_coefficients,
@@ -111,26 +114,31 @@ def cm_report_to_data(r: CMReport) -> dict:
     return out
 
 
-def _undecided_intervals(A: Poset, rank: Sequence[int], j: int):
-    """``(i, summary)`` for each open interval ``(i, j)`` of the pure poset
-    ``A`` whose critical-chain sizes leave it undecided, with its integral
-    homology; ``rank`` is a rank function of ``A`` by index.
+def _undecided_intervals(A: Poset, rank: Sequence[int], uppers: Iterable[int]):
+    """``(i, j, summary)`` for each open interval ``(i, j)`` of the pure
+    poset ``A``, ``j`` in ``uppers``, whose critical-chain sizes leave it
+    undecided, with its integral homology; ``rank`` is a rank function of
+    ``A`` by index.
 
-    One ``_critical_chains`` pass down from ``j`` serves every interval
+    The place masks of ``A.topo_order()`` are built once, and one
+    ``_critical_chains`` pass down from each ``j`` serves every interval
     below it.  An interval whose critical chains all have ``gap - 1``
     elements, or which has none, has free homology in dimension
     ``gap - 2`` only and passes in every mode: cover pairs (only the
     empty chain) and rank-gap-2 antichains (only singletons) among
-    them.  Intervals come in the pass's order, from the top down.
+    them.  Intervals come by ``j`` as given, then in the pass's order,
+    from the top down.
     """
-    crit = _critical_chains(A, j)
-    size, top = crit.size, rank[j] - 1
-    for i, chains in crit.chains.items():
-        k = top - rank[i]  # elements of a chain in dimension gap - 2
-        for c in chains:
-            if size[c] != k:
-                yield i, _interval_homology(A, i, j, map(size.__getitem__, chains))
-                break
+    extension = _place_masks(A, A.topo_order())
+    for j in uppers:
+        crit = _critical_chains(extension, j)
+        size, top = crit.size, rank[j] - 1
+        for i, chains in crit.chains.items():
+            k = top - rank[i]  # elements of a chain in dimension gap - 2
+            for c in chains:
+                if size[c] != k:
+                    yield i, j, _interval_homology(A, i, j, map(size.__getitem__, chains))
+                    break
 
 
 def _interval_items(P: Poset):
@@ -150,15 +158,15 @@ def _interval_items(P: Poset):
         raise PosetError("interval analysis needs a pure poset")
     labels = A.labels
     rank = list(map(info.rank.__getitem__, labels))
-    for i, j, summary in sorted((i, j, summary) for j, r in enumerate(rank) if r > 2
-                                for i, summary in _undecided_intervals(A, rank, j)):
+    uppers = [j for j, r in enumerate(rank) if r > 2]
+    for i, j, summary in sorted(_undecided_intervals(A, rank, uppers)):
         yield labels[i], labels[j], rank[j] - rank[i], summary
 
 
 def _interval_homology(A: Poset, i: int, j: int, sizes) -> HomologySummary:
     """Integral reduced homology of the open interval between the indices
     ``i < j`` of ``A``, given the sizes of its critical chains
-    (``_critical_chains(A, j).sizes(i)``).
+    (``_critical_chains(_place_masks(A, order), j).sizes(i)``).
 
     The sweeps call it only where the chain sizes alone do not decide the
     interval (``_undecided_intervals``).  The critical chains fix the
@@ -243,7 +251,7 @@ def is_acyclic_over(P: Poset, coeffs: CoeffSpec) -> bool:
     mode = parse_coefficients(coeffs)
     A = augment(P)
     top = len(A) - 1
-    crit = _critical_chains(A, top)
+    crit = _critical_chains(_place_masks(A, A.topo_order()), top)
     sizes = set(crit.sizes(0))
     if len(sizes) < 2:
         return not sizes

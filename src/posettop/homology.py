@@ -25,9 +25,10 @@ critical chains of poset intervals under an acyclic element matching,
 each chain a small-int id with a size (one id per distinct chain of a
 pass, no bitmask), and the sweep and ``_morse_summary`` read the
 homology off their sizes when no two sit in adjacent dimensions.  A pass
-walks the elements by their ``topo_order()`` places, as bits of the
-poset's cached position masks, and keeps each element's critical chains
-and ids in lists indexed by place.
+takes its linear extension as input: ``_place_masks`` turns an order of
+the elements into masks whose bits are places in it, built once per
+swept poset, and the pass walks the elements by those bits and keeps
+each element's critical chains and ids in lists indexed by place.
 """
 
 from __future__ import annotations
@@ -234,13 +235,28 @@ class _CriticalChains(NamedTuple):
         return map(self.size.__getitem__, self.chains[z])
 
 
-def _critical_chains(P: Poset, y: int) -> _CriticalChains:
-    """Critical chains of every open interval ``(z, y)`` of ``P``, by ``z``.
+def _place_masks(P: Poset, order: Sequence[int]) -> tuple[tuple[int, ...], list[int], list[int]]:
+    """The linear extension ``order`` of ``P`` as the input of
+    ``_critical_chains``: ``(order, above, below)``, where ``above[i]``
+    (``below[i]``) has bit ``p`` set iff the element ``order[p]`` lies
+    above (below) element ``i``.  So the bits of a mask read from the top
+    down list its elements in decreasing place."""
+    order = tuple(order)
+    place = [0] * len(order)
+    for p, i in enumerate(order):
+        place[i] = p
+    return (order, P._closure(P._up_adj, reversed(order), place),
+            P._closure(P._down_adj, order, place))
+
+
+def _critical_chains(extension: tuple, y: int) -> _CriticalChains:
+    """Critical chains of every open interval ``(z, y)`` of a poset, by
+    ``z``, under the linear extension ``extension = _place_masks(P, order)``.
 
     The matching on the chains of ``(z, y)``, the empty chain included, is
-    the element matching in decreasing order of ``P.topo_order()``: each
-    element ``w`` in turn pairs a chain with the chain plus ``w`` when both
-    are still unmatched.  Such a sequence of element matchings is acyclic
+    the element matching in decreasing order of ``order``: each element
+    ``w`` in turn pairs a chain with the chain plus ``w`` when both are
+    still unmatched.  Such a sequence of element matchings is acyclic
     (Jonsson, *Simplicial Complexes of Graphs*, LNM 1928, ch. 4), so the
     critical chains are the cells of a complex with the same reduced
     homology (Forman, discrete Morse theory).  A chain is a small-int id
@@ -257,15 +273,14 @@ def _critical_chains(P: Poset, y: int) -> _CriticalChains:
         W = {()}; for w in (z, y), descending: M = W & C; W = (W - M) | w.(C - M)
 
     One pass over the ``z < y`` from the top down computes each ``C``
-    before it is needed: it reads the set bits of ``P.below_positions()[y]``
-    from the top down.  A ``w`` with no critical chain changes nothing,
-    so the inner loop runs only over ``live``: the processed elements that
-    have one and lie above another element, as a mask of ``topo_order()``
-    places, whose set bits under ``P.above_positions()[z]`` are read from
-    the top down.  When ``C`` is final, each chain ``w.c`` gets its id
-    (``ext[w][c]``), so every later step is set arithmetic on small ints
-    and no chain is built twice.  No chain list of an interval is ever
-    built.
+    before it is needed: it reads the set bits of ``below[y]`` from the
+    top down.  A ``w`` with no critical chain changes nothing, so the
+    inner loop runs only over ``live``: the processed elements that have
+    one and lie above another element, as a mask of places, whose set bits
+    under ``above[z]`` are read from the top down.  When ``C`` is final,
+    each chain ``w.c`` gets its id (``ext[w][c]``), so every later step is
+    set arithmetic on small ints and no chain is built twice.  No chain
+    list of an interval is ever built.
 
     The pass keeps its state by place, not by element: ``C`` and the ids
     of ``w.C``, in id order, sit at ``w``'s place.  Most steps have ``M``
@@ -275,7 +290,7 @@ def _critical_chains(P: Poset, y: int) -> _CriticalChains:
     the recursion above does, in the same order, so the ids do not depend
     on these shortcuts.
     """
-    order, above, below = P.topo_order(), P.above_positions(), P.below_positions()
+    order, above, below = extension
     crit: dict[int, set[int]] = {}
     ext: dict[int, dict[int, int]] = {}
     crit_at: list = [None] * len(order)  # by place, as are ids_at and live

@@ -117,7 +117,8 @@ class FlagVector:
 def flag_vector_boolean(n: int) -> FlagVector:
     """Flag invariants of the subset lattice, by enumerating maximal
     chains as permutations; the inclusion-exclusion consistency between
-    alpha and beta is asserted.
+    alpha and beta is asserted.  Bounded to n <= 9: n = 9 takes 1-2 s on
+    a 2-core Xeon (Python 3.11), and each step up multiplies that by ten.
 
     >>> fv = flag_vector_boolean(3)
     >>> fv.alpha[frozenset({1})], fv.beta[frozenset({1})]
@@ -125,6 +126,8 @@ def flag_vector_boolean(n: int) -> FlagVector:
     """
     if n < 1:
         raise ValueError("need n >= 1")
+    if n > 9:
+        raise ValueError("enumeration bound is n <= 9")
     positions = list(range(1, n))
     descent_counts: dict[frozenset, int] = {}
     for p in itertools.permutations(range(1, n + 1)):

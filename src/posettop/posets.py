@@ -99,9 +99,6 @@ class Poset:
         "_above",
         "_below",
         "_topo",
-        "_topo_pos",
-        "_above_pos",
-        "_below_pos",
         "_rank_result",
     )
 
@@ -132,9 +129,6 @@ class Poset:
         self._above = None
         self._below = None
         self._topo = None
-        self._topo_pos = None
-        self._above_pos = None
-        self._below_pos = None
         self._rank_result = None
 
     @property
@@ -195,16 +189,6 @@ class Poset:
             self._topo = tuple(order)
         return self._topo
 
-    def topo_positions(self) -> list[int]:
-        """``topo_positions()[i]`` is the place of index ``i`` in
-        :meth:`topo_order`."""
-        if self._topo_pos is None:
-            pos = [0] * len(self.labels)
-            for k, i in enumerate(self.topo_order()):
-                pos[i] = k
-            self._topo_pos = pos
-        return self._topo_pos
-
     def _closure(self, adj: list, order: Iterable[int], place: Sequence[int]) -> list[int]:
         """Masks of the elements reachable along ``adj``, filled in
         ``order`` (which lists every element after the ones ``adj`` leads
@@ -225,30 +209,11 @@ class Poset:
                                         range(len(self.labels)))
         return self._above
 
-    def above_positions(self) -> list[int]:
-        """``above_positions()[i]`` has bit ``p`` set iff the element at
-        place ``p`` of :meth:`topo_order` lies above ``labels[i]``, so its
-        bits from the top down list the elements above in decreasing
-        :meth:`topo_order` position."""
-        if self._above_pos is None:
-            self._above_pos = self._closure(self._up_adj, reversed(self.topo_order()),
-                                            self.topo_positions())
-        return self._above_pos
-
     def below_masks(self) -> list[int]:
         if self._below is None:
             self._below = self._closure(self._down_adj, self.topo_order(),
                                         range(len(self.labels)))
         return self._below
-
-    def below_positions(self) -> list[int]:
-        """``below_positions()[i]`` has bit ``p`` set iff the element at
-        place ``p`` of :meth:`topo_order` lies below ``labels[i]``; the
-        mirror of :meth:`above_positions`."""
-        if self._below_pos is None:
-            self._below_pos = self._closure(self._down_adj, self.topo_order(),
-                                            self.topo_positions())
-        return self._below_pos
 
     def less(self, x, y) -> bool:
         """Strict order comparison on labels."""
@@ -528,7 +493,7 @@ def augment(P: Poset) -> Poset:
     it), the linear extension (the bottom first and the top last), the
     order masks and, when ``P`` already holds rank data and is pure, the
     ranks.  So no sort, mask or rank pass is repeated, and nothing new is
-    cached on ``P``; the result's position masks are built on first use.
+    cached on ``P``.
     """
     bot, top = Bound("0^"), Bound("1^")
     n = len(P.labels)
@@ -579,15 +544,12 @@ def mobius(P: Poset, x=None, y=None) -> int:
     above = P.above_masks()
     if not (above[i] >> j & 1):
         raise PosetError(f"{display_label(x)!r} is not below {display_label(y)!r}")
-    interval = (above[i] & P.below_masks()[j]) | (1 << i) | (1 << j)
-    members = sorted(iter_bits(interval), key=P.topo_positions().__getitem__)
-    mu = {i: 1}
     below = P.below_masks()
-    for z in members[1:]:
-        s = 0
-        for w in iter_bits(below[z] & interval):
-            s += mu[w]
-        mu[z] = -s
+    upper = above[i] & below[j] | 1 << j  # the elements of (x, y]
+    mu = {i: 1}
+    for z in P.topo_order():  # each z after the elements below it
+        if upper >> z & 1:
+            mu[z] = -sum(map(mu.__getitem__, iter_bits(below[z] & upper | 1 << i)))
     return mu[j]
 
 

@@ -324,7 +324,7 @@ def koszul_necessary_test(S: HomogeneousSemigroup, max_rank: int,
     layers = S.enumerate_up_to(max_rank)
     D = dual(_divisibility_order(S, layers))
     rank = [-m for m, layer in enumerate(layers) for _ in layer]  # a rank function of D
-    failures = [(x, bad) for x, summary in _undecided_intervals(D, rank, 0)
+    failures = [(x, bad) for x, _, summary in _undecided_intervals(D, rank, (0,))
                 if (bad := _summary_violations(summary, -rank[x], mode))]
     x, bad = min(failures, default=(len(D) - 1, ()))  # no failure: count every element
     runs = x + 1 - len(layers[0]) - len(layers[1]) - len(layers[2])  # degree 3 up to x
@@ -454,13 +454,19 @@ def semigroup_to_data(S: HomogeneousSemigroup) -> dict:
 
 
 def semigroup_from_data(data) -> HomogeneousSemigroup:
+    """The semigroup of a ``semigroup_to_data`` dict; ``"dim"`` must be the
+    generators' length."""
     try:
-        return build_semigroup([tuple(g) for g in data["generators"]],
-                               weight=tuple(data["weight"]),
-                               scale=int(data["scale"]))
+        dim = data["dim"]
+        S = build_semigroup([tuple(g) for g in data["generators"]],
+                            weight=tuple(data["weight"]),
+                            scale=int(data["scale"]))
     except (KeyError, TypeError):
         raise SemigroupError(
             'semigroup JSON needs "dim", "generators", "weight", "scale"') from None
+    if dim != S.dim:
+        raise SemigroupError(f'"dim" is {dim!r}, but the generators have length {S.dim}')
+    return S
 
 
 def semigroup_to_json(S: HomogeneousSemigroup) -> str:

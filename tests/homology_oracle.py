@@ -13,10 +13,11 @@ every element of each interval, critical chains or none, on bitmasks;
 ``decode_critical_chains`` turns the engine's chain ids into the same
 bitmasks.  ``revisiting_cascade`` is the engine's coreduction sweeps
 without the skip of stuck cells: every sweep visits every live cell, so
-the alive flags it returns must equal the engine's.  ``element_keyed_critical_chains`` is the engine's pass with
-its state in dicts keyed by element, the elements sorted by position and
-``M = W & C`` built at every step: the engine's chains, sizes and ids
-must equal its.
+the alive flags it returns must equal the engine's.
+``element_keyed_critical_chains`` is the engine's pass with its state in
+dicts keyed by element, its places computed on its own, the elements
+sorted by position and ``M = W & C`` built at every step: the engine's
+chains, sizes and ids must equal its.
 """
 
 from array import array
@@ -86,8 +87,8 @@ def tuple_cell_complex(K) -> SimpleNamespace:
 
 
 def reference_critical_chains(P, y) -> dict:
-    """``homology._critical_chains(P, y)`` with chains as bitmasks: the
-    recursion ``M = W & C; W = (W - M) | w.(C - M)`` over every ``w`` of
+    """``homology._critical_chains`` under ``P.topo_order()`` with chains
+    as bitmasks: the recursion ``M = W & C; W = (W - M) | w.(C - M)`` over every ``w`` of
     ``(z, y)``, in decreasing ``P.topo_order()`` position."""
     pos = {v: k for k, v in enumerate(P.topo_order())}
     above = P.above_masks()
@@ -117,12 +118,16 @@ def decode_critical_chains(crit) -> dict:
 
 
 def element_keyed_critical_chains(P, y) -> _CriticalChains:
-    """``homology._critical_chains(P, y)`` as an element-keyed recursion:
-    the ``z < y`` sorted by decreasing ``topo_order()`` position, each
-    step ``M = W & C; W = (W - M) | w.(C - M)`` with ``C`` and ``w``'s
-    ids looked up by element."""
-    order, pos = P.topo_order(), P.topo_positions()
-    above, below = P.above_positions(), P.below_masks()
+    """``homology._critical_chains`` under ``P.topo_order()`` as an
+    element-keyed recursion: the ``z < y`` sorted by decreasing
+    ``topo_order()`` position, each step ``M = W & C; W = (W - M) | w.(C - M)``
+    with ``C`` and ``w``'s ids looked up by element.  The places are
+    recomputed here from ``above_masks()``, not taken from
+    ``homology._place_masks``."""
+    order = P.topo_order()
+    pos = {v: k for k, v in enumerate(order)}
+    above = [sum(1 << pos[j] for j in iter_bits(m)) for m in P.above_masks()]
+    below = P.below_masks()
     crit: dict = {}
     ext: dict = {}
     live, n = 0, 1

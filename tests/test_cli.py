@@ -202,6 +202,18 @@ class TestSemigroup:
         assert code == 0
         assert len(poset_from_json(out)) == 4
 
+    @pytest.mark.parametrize("dim", [3, None, "2"], ids=["mismatched", "missing", "string"])
+    def test_bad_dim_is_exit_2(self, capsys, tmp_path, dim):
+        data = {"generators": [[1, 0], [0, 1]], "weight": [1, 1], "scale": 1}
+        if dim is not None:
+            data["dim"] = dim
+        s = tmp_path / "s.json"
+        s.write_text(json.dumps(data))
+        code = main(["semigroup", "koszul-test", str(s), "--max-rank", "3"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error: ") and '"dim"' in captured.err
+
     def test_veronese_family(self, capsys):
         code, out = run_cli(capsys, "semigroup", "veronese-punctured", "--d", "3")
         assert code == 0
@@ -221,6 +233,14 @@ class TestEnumerate:
         code, out = run_cli(capsys, "enumerate", "falling-chains", "--n", "3",
                             "--format", "json")
         assert json.loads(out)["falling_chains"] == 19
+
+
+    @pytest.mark.parametrize("n", ["10", "25"])
+    def test_flag_vector_bound_is_exit_2(self, capsys, n):
+        code = main(["enumerate", "flag-vector", "--n", n])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "n <= 9" in captured.err
 
 
 class TestVerifyRunner:

@@ -32,7 +32,7 @@ from posettop.constructions import (
     subword,
     weighted_segre,
 )
-from posettop.homology import _critical_chains, integral_homology, parse_coefficients
+from posettop.homology import _critical_chains, _place_masks, integral_homology, parse_coefficients
 from posettop.posets import (
     PosetError,
     PurityFailure,
@@ -78,10 +78,11 @@ def per_pair_interval_items(P):
         raise PosetError("interval analysis needs a pure poset")
     rank = [info.rank[x] for x in A.labels]
     summaries = {}
+    extension = _place_masks(A, A.topo_order())
     for j in range(len(A)):
         if rank[j] < 3:
             continue
-        crit = _critical_chains(A, j)
+        crit = _critical_chains(extension, j)
         for i, chains in crit.chains.items():
             k = rank[j] - rank[i] - 1
             if k > 1 and any(crit.size[c] != k for c in chains):

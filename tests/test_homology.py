@@ -27,6 +27,7 @@ from posettop.homology import (
     _cell_complex,
     _critical_chains,
     _morse_summary,
+    _place_masks,
     betti,
     boundary_matrices,
     check_chain_complex,
@@ -36,7 +37,7 @@ from posettop.homology import (
     parse_coefficients,
     summary_to_data,
 )
-from posettop.posets import build_poset, iter_bits, mobius, open_interval
+from posettop.posets import _induced_by_indices, build_poset, iter_bits, mobius, open_interval
 
 from homology_oracle import (
     decode_critical_chains,
@@ -72,6 +73,46 @@ def shuffled(P, rng):
     labels = list(P.labels)
     rng.shuffle(labels)
     return build_poset(labels, [(P.labels[i], P.labels[j]) for (i, j) in P.covers])
+
+
+def topo_extension(P):
+    """The critical-chain pass's input for ``P``'s own linear extension."""
+    return _place_masks(P, P.topo_order())
+
+
+def levels(P):
+    """Length of the longest chain below each element: the rank of a pure
+    poset, and strictly increasing along every cover of any poset."""
+    level = [0] * len(P)
+    for i in P.topo_order():
+        level[i] = max((level[j] + 1 for j in P._down_adj[i]), default=0)
+    return level
+
+
+def random_linear_extension(P, rng):
+    """A linear extension of ``P`` that takes a random minimal element of
+    what is left at each step."""
+    indeg = [len(d) for d in P._down_adj]
+    ready = [i for i, d in enumerate(indeg) if d == 0]
+    order = []
+    while ready:
+        i = ready.pop(rng.randrange(len(ready)))
+        order.append(i)
+        for j in P._up_adj[i]:
+            indeg[j] -= 1
+            if not indeg[j]:
+                ready.append(j)
+    return order
+
+
+def extensions(P, rng):
+    """``P``'s own linear extension, by rank then index, by rank then
+    reverse index, and one random one."""
+    level = levels(P)
+    return [P.topo_order(),
+            sorted(range(len(P)), key=lambda i: (level[i], i)),
+            sorted(range(len(P)), key=lambda i: (level[i], -i)),
+            random_linear_extension(P, rng)]
 
 
 def engine_corpus():
@@ -446,18 +487,96 @@ class TestHallCrossCheck:
 
 
 
+def reference_corpus(rng):
+    """Shuffled random posets and three small ones of the paper's kind."""
+    from posettop.complexes import face_poset
+    from posettop.constructions import rees_deranged
+    posets = [shuffled(random_pure_bounded_poset(rng), rng) for _ in range(40)]
+    return posets + [boolean_top_first(4), face_poset(projective_plane()), rees_deranged(3)]
+
+
+def sweep_corpus():
+    """Bounded extensions the CM sweep passes over, and the dual
+    divisibility poset of the Koszul test."""
+    from posettop.constructions import (
+        boolean, boolean_minus_bottom, chain, fiber_ideal, rees,
+        rees_deranged, subword, weighted_segre)
+    from posettop.posets import augment, dual, rank_map
+    from posettop.semigroups import (
+        _divisibility_order, natural_semigroup, punctured_veronese_semigroup,
+        rees_semigroup)
+    S = rees_semigroup(punctured_veronese_semigroup(3), natural_semigroup(2))
+    T = _divisibility_order(S, S.enumerate_up_to(3))
+    return [augment(boolean(5)), augment(subword(5)), augment(rees_deranged(5)),
+            augment(fiber_ideal(5, range(1, 6), 3).poset),
+            augment(weighted_segre(boolean(4), boolean(3), rank_map(boolean(3))).poset),
+            augment(rees(boolean_minus_bottom(4), chain(4))), dual(T)]
+
+
+class TestPlaceMasks:
+    def test_the_order_is_given_back(self):
+        rng = random.Random(5)
+        for _ in range(30):
+            P = random_poset(rng, rng.randint(0, 12))
+            for order in (P.topo_order(), random_linear_extension(P, rng)):
+                assert _place_masks(P, order)[0] == tuple(order)
+
+    def test_above_by_place_are_above_masks(self):
+        rng = random.Random(7)
+        for _ in range(30):
+            P = random_poset(rng, rng.randint(0, 12))
+            for order in (P.topo_order(), random_linear_extension(P, rng)):
+                up = _place_masks(P, order)[1]
+                for i in range(len(P)):
+                    assert {order[p] for p in iter_bits(up[i])} == set(iter_bits(P.above_masks()[i]))
+
+    def test_below_by_place_are_below_masks(self):
+        rng = random.Random(11)
+        for _ in range(30):
+            P = random_poset(rng, rng.randint(0, 12))
+            for order in (P.topo_order(), random_linear_extension(P, rng)):
+                down = _place_masks(P, order)[2]
+                for i in range(len(P)):
+                    assert {order[p] for p in iter_bits(down[i])} == set(iter_bits(P.below_masks()[i]))
+
+    def test_built_once_per_swept_poset(self, monkeypatch):
+        # every pass of a sweep reads the masks of the one poset it sweeps,
+        # and a CM sweep's only two closures build them
+        from posettop import cohen_macaulay
+        from posettop.constructions import boolean, rees_deranged
+        from posettop.posets import Poset, rank_info
+        from posettop.semigroups import koszul_necessary_test, punctured_veronese_semigroup
+        built, closures, closure = [], [], Poset._closure
+
+        def spy_masks(P, order):
+            built.append(P)
+            return _place_masks(P, order)
+
+        def spy_closure(P, *args):
+            closures.append(P)
+            return closure(P, *args)
+        monkeypatch.setattr(cohen_macaulay, "_place_masks", spy_masks)
+        monkeypatch.setattr(Poset, "_closure", spy_closure)
+        for P in (boolean(4), rees_deranged(4)):
+            P.above_masks(), P.below_masks(), rank_info(P)  # augment reuses these
+            built.clear(), closures.clear()
+            assert cohen_macaulay.is_cm_poset(P)
+            assert len(built) == 1 and closures == built * 2
+        built.clear()
+        assert koszul_necessary_test(punctured_veronese_semigroup(3), 4).homology_runs > 1
+        assert len(built) == 1
+        built.clear()
+        assert cohen_macaulay.is_acyclic_over(boolean(3), "Q")  # a cone
+        assert len(built) == 1
+
+
 class TestCriticalChains:
     def test_matches_reference_recursion(self):
         # skipping the elements without critical chains changes nothing
-        from posettop.complexes import face_poset
-        from posettop.constructions import rees_deranged
-        rng = random.Random(109)
-        posets = [shuffled(random_pure_bounded_poset(rng), rng) for _ in range(40)]
-        posets += [boolean_top_first(4), face_poset(projective_plane()), rees_deranged(3)]
-        for P in posets:
-            above = P.above_masks()
+        for P in reference_corpus(random.Random(109)):
+            above, extension = P.above_masks(), topo_extension(P)
             for y in range(len(P)):
-                crit = _critical_chains(P, y)
+                crit = _critical_chains(extension, y)
                 assert decode_critical_chains(crit) == reference_critical_chains(P, y)
                 # ids 1, 2, ... each name one distinct chain: w below its
                 # rest, and one element more than the rest
@@ -475,26 +594,50 @@ class TestCriticalChains:
         # the place-indexed pass hands out the same ids, in the same order,
         # as the element-keyed one, on the sweeps' posets and on the dual
         # divisibility poset of the Koszul test
-        from posettop.constructions import (
-            boolean, boolean_minus_bottom, chain, fiber_ideal, rees,
-            rees_deranged, subword, weighted_segre)
-        from posettop.posets import augment, dual, rank_map
-        from posettop.semigroups import (
-            _divisibility_order, natural_semigroup, punctured_veronese_semigroup,
-            rees_semigroup)
-        S = rees_semigroup(punctured_veronese_semigroup(3), natural_semigroup(2))
-        T = _divisibility_order(S, S.enumerate_up_to(3))
-        posets = [augment(boolean(5)), augment(subword(5)), augment(rees_deranged(5)),
-                  augment(fiber_ideal(5, range(1, 6), 3).poset),
-                  augment(weighted_segre(boolean(4), boolean(3), rank_map(boolean(3))).poset),
-                  augment(rees(boolean_minus_bottom(4), chain(4))), dual(T)]
-        for P in posets:
+        for P in sweep_corpus():
+            extension = topo_extension(P)
             for y in range(len(P)):
-                crit, ref = _critical_chains(P, y), element_keyed_critical_chains(P, y)
+                crit, ref = _critical_chains(extension, y), element_keyed_critical_chains(P, y)
                 assert list(crit.chains.items()) == list(ref.chains.items())
                 assert crit.size == ref.size
                 assert ([(w, list(e.items())) for w, e in crit.ext.items()]
                         == [(w, list(e.items())) for w, e in ref.ext.items()])
+
+    def test_an_extension_is_a_relabelling(self):
+        # the pass under a linear extension of P gives what the pass under
+        # index order gives on P relabelled along that extension: the same
+        # ids, sizes and chain tables, element k of the relabelled poset
+        # standing for order[k]
+        rng = random.Random(127)
+        for P in reference_corpus(rng) + sweep_corpus():
+            for order in extensions(P, rng):
+                R = _induced_by_indices(P, order)
+                extension, identity = _place_masks(P, order), _place_masks(R, range(len(R)))
+                for k, y in enumerate(order):
+                    crit, ref = _critical_chains(extension, y), _critical_chains(identity, k)
+                    assert list(crit.chains.items()) == [(order[z], ids) for z, ids in ref.chains.items()]
+                    assert crit.size == ref.size
+                    assert ([(w, list(e.items())) for w, e in crit.ext.items()]
+                            == [(order[w], list(e.items())) for w, e in ref.ext.items()])
+
+    def test_top_pass_of_the_word_ideals_by_extension(self):
+        # critical cells per dimension of (0^, 1^) in augment(I(6,i)) under
+        # the default linear extension, by rank then index, and by rank
+        # then reverse index
+        from posettop.constructions import fiber_ideal
+        from posettop.posets import augment
+        cells = {3: ({3: 1, 4: 36, 5: 35}, {2: 1, 3: 12, 4: 47, 5: 36}, {3: 1, 4: 36, 5: 35}),
+                 4: ({2: 1, 3: 15, 4: 53, 5: 39}, {3: 1, 4: 36, 5: 35}, {2: 1, 3: 12, 4: 47, 5: 36}),
+                 5: ({1: 1, 2: 5, 3: 10, 4: 10, 5: 4}, {4: 1, 5: 1}, {1: 1, 2: 5, 3: 10, 4: 10, 5: 4})}
+        for i, expected in cells.items():
+            A = augment(fiber_ideal(6, range(1, 7), i).poset)
+            level = levels(A)
+            orders = (A.topo_order(),
+                      sorted(range(len(A)), key=lambda k: (level[k], k)),
+                      sorted(range(len(A)), key=lambda k: (level[k], -k)))
+            for order, want in zip(orders, expected):
+                crit = _critical_chains(_place_masks(A, order), len(A) - 1)
+                assert Counter(s - 1 for s in crit.sizes(0)) == want, (i, order[:3])
 
     def test_alternating_count_is_mobius(self):
         # the matching pairs off every chain it leaves uncritical, so the
@@ -502,8 +645,9 @@ class TestCriticalChains:
         rng = random.Random(101)
         for _ in range(30):
             P = shuffled(random_pure_bounded_poset(rng), rng)
+            extension = topo_extension(P)
             for y in range(len(P)):
-                crit = _critical_chains(P, y)
+                crit = _critical_chains(extension, y)
                 for z, chains in decode_critical_chains(crit).items():
                     euler = sum((-1) ** (c.bit_count() - 1) for c in chains)
                     assert euler == mobius(P, P.labels[z], P.labels[y])
@@ -513,9 +657,9 @@ class TestCriticalChains:
         rng = random.Random(103)
         for _ in range(20):
             P = shuffled(random_pure_bounded_poset(rng), rng)
-            above, below = P.above_masks(), P.below_masks()
+            above, below, extension = P.above_masks(), P.below_masks(), topo_extension(P)
             for y in range(len(P)):
-                for z, chains in decode_critical_chains(_critical_chains(P, y)).items():
+                for z, chains in decode_critical_chains(_critical_chains(extension, y)).items():
                     inside = above[z] & below[y]
                     for c in chains:
                         assert c & ~inside == 0
@@ -531,8 +675,9 @@ class TestCriticalChains:
         posets += [face_poset(projective_plane()), boolean(4), rees_deranged(3)]
         certified = 0
         for P in posets:
+            extension = topo_extension(P)
             for y in range(len(P)):
-                crit = _critical_chains(P, y)
+                crit = _critical_chains(extension, y)
                 for z in crit.chains:
                     if crit.chains[z] == {0}:
                         continue  # an empty interval: its lone chain is empty
@@ -568,9 +713,10 @@ class TestCriticalChains:
         passed = left = 0
         for P in posets:
             rank = [rank_info(P).rank[x] for x in P.labels]
+            extension = topo_extension(P)
             for y in range(len(P)):
-                crit = _critical_chains(P, y)
-                undecided = dict(_undecided_intervals(P, rank, y))
+                crit = _critical_chains(extension, y)
+                undecided = {z: s for z, _, s in _undecided_intervals(P, rank, [y])}
                 for z, chains in decode_critical_chains(crit).items():
                     gap = rank[y] - rank[z]
                     if all(c.bit_count() == gap - 1 for c in chains):
@@ -601,7 +747,7 @@ class TestCriticalChains:
                  (subword(6), {5: 265})]
         for P, cells in cases:
             A = augment(P)
-            crit = _critical_chains(A, len(A) - 1)
+            crit = _critical_chains(topo_extension(A), len(A) - 1)
             assert Counter(s - 1 for s in crit.sizes(0)) == cells
 
     def test_top_pass_memory(self):
@@ -611,10 +757,10 @@ class TestCriticalChains:
         from posettop.constructions import subword
         from posettop.posets import augment
         A = augment(subword(6))
-        A.above_positions(), A.below_positions()  # the order data is not measured
+        extension = topo_extension(A)  # the order data is not measured
         tracemalloc.start()
         try:
-            crit = _critical_chains(A, len(A) - 1)
+            crit = _critical_chains(extension, len(A) - 1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -121,6 +121,13 @@ class TestFlagVector:
                 assert fv.alpha[J] == direct
 
 
+    @pytest.mark.parametrize("n", [10, 25])
+    def test_bound(self, n):
+        # refused before any permutation is listed
+        with pytest.raises(ValueError, match="n <= 9"):
+            flag_vector_boolean(n)
+
+
 class TestFallingChains:
     def test_small_values(self):
         assert falling_chains_segre_square(1) == 1

@@ -8,6 +8,9 @@ attribute ``Poset``.
 ``homology._critical_chains`` serves one interval sweep,
 ``cohen_macaulay._undecided_intervals``, which both the Cohen-Macaulay
 and the Koszul tests call, so ``cohen_macaulay.py`` is its only caller.
+It is also the only caller of ``homology._place_masks``, which builds the
+pass's input, so the linear extension a pass walks is chosen in that one
+module.
 The verdict helpers assume a nonempty interval, which only that sweep
 and ``is_acyclic_over`` guarantee: ``_interval_homology`` and
 ``homology._morse_summary`` are called from ``cohen_macaulay.py`` only,
@@ -61,6 +64,12 @@ def test_only_the_interval_sweep_runs_critical_chain_passes():
     callers = {p.name for p in MODULES if calls(p.read_text(), "_critical_chains")}
     assert callers == {"cohen_macaulay.py"}
     assert calls("crit = homology._critical_chains(A, j)\n", "_critical_chains") == [1]
+
+
+def test_only_the_interval_sweep_builds_place_masks():
+    callers = {p.name for p in MODULES if calls(p.read_text(), "_place_masks")}
+    assert callers == {"cohen_macaulay.py"}
+    assert calls("ext = homology._place_masks(A, A.topo_order())\n", "_place_masks") == [1]
 
 
 @pytest.mark.parametrize("callee, allowed", [

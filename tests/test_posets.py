@@ -5,6 +5,7 @@ import time
 import pytest
 
 from posettop.constructions import boolean, chain, rees_deranged, subword
+from posettop.homology import _place_masks
 from posettop.posets import (
     ISO_SIZE_LIMIT,
     Bound,
@@ -24,7 +25,6 @@ from posettop.posets import (
     induced_subposet,
     is_isomorphic,
     is_pure,
-    iter_bits,
     mobius,
     open_interval,
     poset_from_json,
@@ -124,34 +124,6 @@ class TestBuildPoset:
         assert len(P) == 3
         assert P.less("a", "c") and P.less("a", "b") and P.less("b", "c")
         assert not P.less("c", "a")
-
-    def test_topo_positions_invert_topo_order(self):
-        rng = random.Random(5)
-        for _ in range(30):
-            P = random_poset(rng, rng.randint(0, 12))
-            pos = P.topo_positions()
-            assert [pos[i] for i in P.topo_order()] == list(range(len(P)))
-            assert P.topo_positions() is pos  # computed once per poset
-
-    def test_above_positions_are_above_masks_by_place(self):
-        rng = random.Random(7)
-        for _ in range(30):
-            P = random_poset(rng, rng.randint(0, 12))
-            order, above = P.topo_order(), P.above_masks()
-            up = P.above_positions()
-            for i in range(len(P)):
-                assert {order[p] for p in iter_bits(up[i])} == set(iter_bits(above[i]))
-            assert P.above_positions() is up
-
-    def test_below_positions_are_below_masks_by_place(self):
-        rng = random.Random(11)
-        for _ in range(30):
-            P = random_poset(rng, rng.randint(0, 12))
-            order, below = P.topo_order(), P.below_masks()
-            down = P.below_positions()
-            for i in range(len(P)):
-                assert {order[p] for p in iter_bits(down[i])} == set(iter_bits(below[i]))
-            assert P.below_positions() is down
 
     def test_cycle_rejected(self):
         with pytest.raises(PosetError, match="cycle"):
@@ -324,8 +296,7 @@ class TestAugment:
             assert (A._up_adj, A._down_adj, A._index) == (R._up_adj, R._down_adj, R._index)
             assert A.topo_order() == R.topo_order()
             assert (A.above_masks(), A.below_masks()) == (R.above_masks(), R.below_masks())
-            assert A.above_positions() == R.above_positions()
-            assert A.below_positions() == R.below_positions()
+            assert _place_masks(A, A.topo_order()) == _place_masks(R, R.topo_order())
             # rank data is shifted only from a pure P's, else derived on use
             assert (A._rank_result is not None) == pure
             assert rank_info(A) == rank_info(R)

@@ -13,6 +13,7 @@ from posettop.complexes import order_complex
 from posettop.constructions import boolean, chain, rees, weighted_segre
 from posettop.homology import (
     _critical_chains,
+    _place_masks,
     integral_homology,
     parse_coefficients,
 )
@@ -38,6 +39,7 @@ from posettop.semigroups import (
     punctured_veronese_semigroup,
     rees_semigroup,
     segre_semigroup,
+    semigroup_from_data,
     semigroup_from_json,
     semigroup_to_json,
     split_pair,
@@ -110,7 +112,8 @@ def two_poset_koszul(S, max_rank, coeffs):
     name = cm_coefficient_name(mode)
     layers = S.enumerate_up_to(max_rank)
     T = reference_divisibility_poset(S, [x for layer in layers for x in layer])
-    crit = _critical_chains(dual(T), 0)
+    D = dual(T)
+    crit = _critical_chains(_place_masks(D, D.topo_order()), 0)
     checked, runs = len(layers[2]), 0
     for m in range(3, max_rank + 1):
         for lam in layers[m]:
@@ -338,7 +341,8 @@ class TestKoszulTest:
             assert len(failing) > 1
             assert rep.witness[0] == failing[0]
             D = dual(semigroups._divisibility_order(S, layers))
-            met = list(map(D.labels.__getitem__, _critical_chains(D, 0).chains))
+            crit = _critical_chains(_place_masks(D, D.topo_order()), 0)
+            met = list(map(D.labels.__getitem__, crit.chains))
             assert sorted(failing, key=met.index) != failing
 
     def test_matches_the_two_poset_path(self):
@@ -353,7 +357,8 @@ class TestKoszulTest:
             assert (D.labels, D.covers, D._index) == (T.labels, T.covers, T._index), name
             assert (D._up_adj, D._down_adj) == (T._up_adj, T._down_adj), name
             assert D.topo_order() == T.topo_order(), name
-            assert _critical_chains(D, 0) == _critical_chains(T, 0), name
+            assert (_critical_chains(_place_masks(D, D.topo_order()), 0)
+                    == _critical_chains(_place_masks(T, T.topo_order()), 0)), name
             for coeffs in ("Q", 2, "z-spherical"):
                 rep = koszul_necessary_test(S, r, coeffs)
                 assert rep == two_poset_koszul(S, r, coeffs), (name, coeffs)
@@ -400,9 +405,9 @@ class TestKoszulTest:
     def test_one_critical_chain_pass_per_test(self, monkeypatch):
         calls = []
 
-        def spy(P, y):
+        def spy(extension, y):
             calls.append(y)
-            return _critical_chains(P, y)
+            return _critical_chains(extension, y)
         monkeypatch.setattr(cohen_macaulay, "_critical_chains", spy)
         for S in (natural_semigroup(3), punctured_veronese_semigroup(3)):
             calls.clear()
@@ -559,6 +564,12 @@ class TestSerialization:
     def test_bad_data(self):
         with pytest.raises(SemigroupError):
             semigroup_from_json('{"generators": [[1]]}')
+        # "dim" is required and must be the generators' length
+        data = {"generators": [[1, 0], [0, 1]], "weight": [1, 1], "scale": 1}
+        assert semigroup_from_data({**data, "dim": 2}).dim == 2
+        for bad in ({**data, "dim": 3}, {**data, "dim": "2"}, data):
+            with pytest.raises(SemigroupError, match='"dim"'):
+                semigroup_from_data(bad)
 
 
 class TestSelfDualityDegreeFour:
