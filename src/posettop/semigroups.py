@@ -4,35 +4,38 @@ poset-theoretic Koszul test.
 A semigroup is given by generator vectors in N^d together with an
 integer weight vector ``w`` and a positive scale ``s`` such that
 ``w . g = s`` for every generator; the degree of an element is then
-``w . x / s``, an exact integer.  All generators have degree one, so
-membership and interval structure come from layered enumeration:
-degree-m elements are sums of a degree-(m-1) element and a generator.
+``w . x / s``, an exact integer.  All generators have degree one, so the
+elements are enumerated layer by layer: the degree-m elements are the
+sums of a degree-(m-1) element and a generator.
 
-One builder, ``_divisibility_order``, makes every divisibility poset from
-the layers of a down-closed set of elements: a cover adds one generator.
-``lower_interval`` runs it on the layers of the elements below one
-element; the Koszul test runs it once on every element up to its rank
-bound, takes the dual (an adjacency swap), and judges each interval
-(0, x) as (x, 0) inside that one poset, by one call of the Cohen-Macaulay
-test's interval sweep (``cohen_macaulay._undecided_intervals``) down
-from the zero element.  Since a cover raises the degree by one, [0, x]
-is graded by degree, so (0, x) is pure and, for deg x >= 2, holds the
-generators below x: the test needs no emptiness or purity check.
+That walk is the one place that adds a generator to an element, and it
+records the divisibility order as it goes: each element's index (by
+degree, then lexicographically) and its up and down covers, as ascending
+index tuples.  Everything else reads the record.  Membership is an index
+lookup, ``_divisibility_order`` is the recorded order on the elements up
+to a degree, and ``lower_interval`` collects an element's down-set along
+the down covers.  The Koszul test takes the dual of the divisibility order
+up to its rank bound and judges each interval (0, x) as (x, 0) inside that
+one poset, by one call of the Cohen-Macaulay test's interval sweep
+(``cohen_macaulay._undecided_intervals``) down from the zero element.
+Since a cover raises the degree by one, [0, x] is graded by degree, so
+(0, x) is pure and, for deg x >= 2, holds the generators below x: the
+test needs no emptiness or purity check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, count, islice
-from operator import add, lshift, sub
+from itertools import chain, count
+from operator import add
 from typing import Iterable, Optional, Sequence
 
 from .cohen_macaulay import _summary_violations, _undecided_intervals, cm_coefficient_name
 from .homology import parse_coefficients
-from .posets import Poset, SizeLimitError, dual, open_interval
+from .posets import Poset, SizeLimitError, _transpose, dual, open_interval
 
-LAYER_CAP = 200_000  # most elements of one degree layer
+ELEMENT_CAP = 200_000  # most elements one semigroup enumerates, over all degrees
 
 
 class SemigroupError(ValueError):
@@ -43,28 +46,31 @@ Vector = tuple[int, ...]
 
 
 def _vec(x: Iterable[int], dim: int, what: str) -> Vector:
-    v = tuple(int(a) for a in x)
+    """``x`` as a tuple of ``dim`` integers; a float or a bool is refused,
+    not truncated."""
+    v = tuple(x)
     if len(v) != dim:
         raise SemigroupError(f"{what} has length {len(v)}, expected {dim}")
+    if not all(type(a) is int for a in v):
+        raise SemigroupError(f"{what} {list(v)} has an entry that is not an integer")
     return v
-
-
-def _add(a: Vector, b: Vector) -> Vector:
-    return tuple(map(add, a, b))
-
-
-def _sub(a: Vector, b: Vector) -> Vector:
-    return tuple(map(sub, a, b))
 
 
 class HomogeneousSemigroup:
     """Affine semigroup whose minimal generators share degree one.
 
-    Layers are enumerated on demand; one of more than ``LAYER_CAP``
-    elements raises :class:`SizeLimitError` (exit 2 in the CLI).
+    Layers are enumerated on demand, and each new layer records its
+    elements' indices and the covers between it and the layer below:
+    ``_labels`` lists the elements by degree, then lexicographically,
+    ``_index`` inverts it, ``_starts[m]`` is the index of the first element
+    of degree m, ``_down[i]`` holds the indices covered by element i and
+    ``_up[i]`` those covering it (for every layer below the top one).
+    Enumerating more than ``ELEMENT_CAP`` elements in all raises
+    :class:`SizeLimitError` (exit 2 in the CLI) and records nothing.
     """
 
-    __slots__ = ("dim", "generators", "weight", "scale", "_layers", "_layer_sets")
+    __slots__ = ("dim", "generators", "weight", "scale",
+                 "_labels", "_index", "_starts", "_up", "_down")
 
     def __init__(self, dim: int, generators: Sequence[Vector], weight: Vector,
                  scale: int):
@@ -73,8 +79,11 @@ class HomogeneousSemigroup:
         self.weight = weight
         self.scale = scale
         zero = (0,) * dim
-        self._layers: list[list[Vector]] = [[zero]]
-        self._layer_sets: list[set] = [{zero}]
+        self._labels: list[Vector] = [zero]
+        self._index: dict[Vector, int] = {zero: 0}
+        self._starts: list[int] = [0, 1]
+        self._up: list[tuple[int, ...]] = []
+        self._down: list[tuple[int, ...]] = [()]
 
     def __repr__(self):
         return (f"HomogeneousSemigroup(dim={self.dim}, "
@@ -91,41 +100,48 @@ class HomogeneousSemigroup:
     def enumerate_up_to(self, r: int) -> list[list[Vector]]:
         """Complete, duplicate-free layers of elements of degree 0..r."""
         self._grow(r)
-        return [list(layer) for layer in self._layers[:r + 1]]
-
-    def layer_set(self, m: int) -> set:
-        self._grow(m)
-        return self._layer_sets[m]
+        s = self._starts
+        return [self._labels[s[m]:s[m + 1]] for m in range(r + 1)]
 
     def _grow(self, r: int) -> None:
-        """Enumerate the layers up to degree ``r``, each once."""
+        """Enumerate the layers up to degree ``r``, each once.  Adding the
+        sorted generators to an element keeps their order, so each
+        element's up covers come out ascending, and its down covers too,
+        as the elements below it are walked in order."""
         if r < 0:
             raise SemigroupError("need r >= 0")
-        while len(self._layers) <= r:
-            prev = self._layers[-1]
-            nxt = set()
-            for x in prev:
-                for g in self.generators:
-                    nxt.add(_add(x, g))
-            if len(nxt) > LAYER_CAP:
+        while len(self._starts) <= r + 1:
+            below, start = self._starts[-2:]
+            sums = [[tuple(map(add, x, g)) for g in self.generators]
+                    for x in self._labels[below:]]
+            layer = sorted(set(chain.from_iterable(sums)))
+            end = start + len(layer)
+            if end > ELEMENT_CAP:
                 raise SizeLimitError(
-                    f"layer {len(self._layers)} has {len(nxt)} elements, "
-                    f"LAYER_CAP is {LAYER_CAP}")
-            self._layers.append(sorted(nxt))
-            self._layer_sets.append(nxt)
+                    f"degree {len(self._starts) - 1} would bring the enumeration "
+                    f"to {end} elements, ELEMENT_CAP is {ELEMENT_CAP}")
+            self._index.update(zip(layer, count(start)))
+            down = [[] for _ in layer]
+            for i, row in enumerate(sums, below):
+                up = tuple(map(self._index.__getitem__, row))
+                self._up.append(up)
+                for j in up:
+                    down[j - start].append(i)
+            self._labels += layer
+            self._down += map(tuple, down)
+            self._starts.append(end)
 
-    def contains(self, x: Iterable[int], degree_hint: Optional[int] = None) -> bool:
-        """Membership, decided by enumeration up to the element's degree."""
+    def contains(self, x: Iterable[int]) -> bool:
+        """Membership, looked up after enumerating to the element's degree."""
         v = _vec(x, self.dim, "element")
-        if any(a < 0 for a in v):
-            return False
         try:
-            m = self.degree(v) if degree_hint is None else degree_hint
+            m = self.degree(v)
         except SemigroupError:
             return False
-        if m < 0:
+        if m < 0 or min(v) < 0:
             return False
-        return v in self.layer_set(m)
+        self._grow(m)
+        return v in self._index
 
 
 def build_semigroup(generators: Iterable[Iterable[int]],
@@ -136,22 +152,23 @@ def build_semigroup(generators: Iterable[Iterable[int]],
     every generator.
 
     Without an explicit functional, the all-ones weight is used and the
-    common coordinate sum of the generators is the scale.  Enumerating a
-    layer of more than ``LAYER_CAP`` elements raises
-    :class:`SizeLimitError` (exit 2 in the CLI).
+    common coordinate sum of the generators is the scale.  Every
+    coordinate, weight entry and the scale must be an ``int``: a float or
+    a bool is refused, not truncated.  Enumerating more than
+    ``ELEMENT_CAP`` elements raises :class:`SizeLimitError` (exit 2 in the
+    CLI).
 
     >>> N2 = build_semigroup([(1, 0), (0, 1)])
     >>> N2.degree((2, 3))
     5
     """
-    gens = [tuple(int(a) for a in g) for g in generators]
+    gens = [tuple(g) for g in generators]
     if not gens:
         raise SemigroupError("need at least one generator")
     dim = len(gens[0])
+    gens = [_vec(g, dim, "generator") for g in gens]
     seen = set()
     for g in gens:
-        if len(g) != dim:
-            raise SemigroupError("generators of mixed dimension")
         if any(a < 0 for a in g):
             raise SemigroupError(f"generator {g} has a negative coordinate")
         if not any(g):
@@ -165,8 +182,8 @@ def build_semigroup(generators: Iterable[Iterable[int]],
     values = [sum(w * a for w, a in zip(weight, g)) for g in gens]
     if scale is None:
         scale = values[0]
-    if scale <= 0:
-        raise SemigroupError(f"degree scale must be positive, got {scale}")
+    if type(scale) is not int or scale <= 0:
+        raise SemigroupError(f"degree scale must be a positive integer, got {scale!r}")
     bad = [v for v in values if v != scale]
     if bad:
         raise SemigroupError(
@@ -206,53 +223,38 @@ def punctured_veronese_semigroup(d: int) -> HomogeneousSemigroup:
     return build_semigroup(sorted(set(gens)), weight=(1,) * d, scale=d)
 
 
-def _divisibility_order(S: HomogeneousSemigroup, layers: Sequence[Sequence[Vector]]) -> Poset:
-    """Divisibility order on a down-closed set of elements of ``S``, given
-    as its sorted layers by degree: a cover adds one generator.
-
-    Each vector is packed into one int, a coordinate per field wide enough
-    for the top layer, so a sum of vectors is a sum of ints with no carry
-    between fields.  The top layer covers nothing, and below it a sum is
-    kept only if it is a member.  Adding the sorted generators to a vector
-    keeps their order, and a layer is sorted, so each element's covers
-    come out ascending.
-    """
-    labels = tuple(chain.from_iterable(layers))
-    width = ((len(layers) - 1) * max(map(max, S.generators))).bit_length() or 1
-    shifts = range(0, width * S.dim, width)
-
-    def pack(v):
-        return sum(map(lshift, v, shifts))
-    index = dict(zip(map(pack, labels), count()))
-    gens = list(map(pack, S.generators))
-    # no sum is the zero element, index 0, so filter(None, ...) drops
-    # exactly the sums that are not members
-    up = [tuple(filter(None, map(index.get, map(key.__add__, gens))))
-          for key in islice(index, len(labels) - len(layers[-1]))]
-    up += [()] * len(layers[-1])
-    return Poset._assemble(labels, up)
+def _divisibility_order(S: HomogeneousSemigroup, r: int) -> Poset:
+    """Divisibility order on the elements of ``S`` of degree at most ``r``:
+    the recorded labels and covers up to degree ``r``, where a cover adds
+    one generator.  The degree-``r`` layer covers nothing here, even when
+    ``S`` has been enumerated further."""
+    S._grow(r)
+    top, n = S._starts[r:r + 2]
+    return Poset._assemble(tuple(S._labels[:n]), S._up[:top] + [()] * (n - top),
+                           S._down[:n])
 
 
 def lower_interval(S: HomogeneousSemigroup, element: Iterable[int]) -> Poset:
     """Divisibility interval [0, element] as a poset; elements are the
     semigroup members below ``element`` by degree, then lexicographically,
-    and covers add one generator (``_divisibility_order``, the Koszul
-    test's builder).
+    and covers add one generator.
 
-    The interval is grown down from ``element``: its degree-(m - 1) layer
-    is every x - g, over x in its degree-m layer and the generators g,
-    that is a member of degree m - 1, so only its own members are visited.
+    The interval is the element's down-set, collected one degree at a time
+    along the recorded down covers and read off by index, so only its own
+    members are visited and no vector is subtracted.
     """
     lam = _vec(element, S.dim, "element")
-    deg = S.degree(lam)
-    if deg < 0 or not S.contains(lam, degree_hint=deg):
+    if not S.contains(lam):
         raise SemigroupError(f"{lam} is not reached by enumeration")
-    members = [[lam]]
-    for m in range(deg, 0, -1):
-        below = S.layer_set(m - 1)
-        members.append(sorted({mu for x in members[-1] for g in S.generators
-                               if (mu := _sub(x, g)) in below}))
-    return _divisibility_order(S, members[::-1])
+    layer = {S._index[lam]}
+    members = set(layer)
+    while layer:
+        layer = set(chain.from_iterable(map(S._down.__getitem__, layer)))
+        members |= layer
+    idx = sorted(members)
+    at = dict(zip(idx, count())).__getitem__
+    down = [tuple(map(at, S._down[i])) for i in idx]
+    return Poset._assemble(tuple(map(S._labels.__getitem__, idx)), _transpose(down), down)
 
 
 def open_interval_below(S: HomogeneousSemigroup, element: Iterable[int]) -> Poset:
@@ -321,16 +323,16 @@ def koszul_necessary_test(S: HomogeneousSemigroup, max_rank: int,
         raise SemigroupError("need max_rank >= 2")
     mode = parse_coefficients(coeffs)
     name = cm_coefficient_name(mode)
-    layers = S.enumerate_up_to(max_rank)
-    D = dual(_divisibility_order(S, layers))
-    rank = [-m for m, layer in enumerate(layers) for _ in layer]  # a rank function of D
+    D = dual(_divisibility_order(S, max_rank))
+    s = S._starts  # s[m]: the index of the first element of degree m
+    rank = [-m for m in range(max_rank + 1) for _ in range(s[m], s[m + 1])]  # a rank function of D
     failures = [(x, bad) for x, _, summary in _undecided_intervals(D, rank, (0,))
                 if (bad := _summary_violations(summary, -rank[x], mode))]
     x, bad = min(failures, default=(len(D) - 1, ()))  # no failure: count every element
-    runs = x + 1 - len(layers[0]) - len(layers[1]) - len(layers[2])  # degree 3 up to x
+    runs = x + 1 - s[3]  # degree 3 up to x
     return KoszulReport(not bad, max_rank, name,
                         witness=(D.labels[x], "; ".join(bad)) if bad else None,
-                        elements_checked=len(layers[2]) + runs, homology_runs=runs)
+                        elements_checked=s[3] - s[2] + runs, homology_runs=runs)
 
 
 # -- gradings and product semigroups ---------------------------------------
@@ -419,13 +421,9 @@ def segre_semigroup(first: HomogeneousSemigroup, second: HomogeneousSemigroup,
                     grading: GradingMap | Iterable[int]) -> SegreSemigroupView:
     """Weighted Segre product view: pairs where the first coordinate's
     degree equals the grading of the second."""
-    if not isinstance(grading, GradingMap):
-        grading = grading_map(second, grading)
-    else:
-        for g in second.generators:
-            if grading(g) <= 0:
-                raise SemigroupError(f"grading is not positive on generator {g}")
-    return SegreSemigroupView(first, second, grading)
+    if isinstance(grading, GradingMap):
+        grading = grading.weight
+    return SegreSemigroupView(first, second, grading_map(second, grading))
 
 
 def rees_semigroup(first: HomogeneousSemigroup,
@@ -458,9 +456,8 @@ def semigroup_from_data(data) -> HomogeneousSemigroup:
     generators' length."""
     try:
         dim = data["dim"]
-        S = build_semigroup([tuple(g) for g in data["generators"]],
-                            weight=tuple(data["weight"]),
-                            scale=int(data["scale"]))
+        S = build_semigroup(data["generators"], weight=tuple(data["weight"]),
+                            scale=data["scale"])
     except (KeyError, TypeError):
         raise SemigroupError(
             'semigroup JSON needs "dim", "generators", "weight", "scale"') from None

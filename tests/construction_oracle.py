@@ -8,7 +8,8 @@ image in the deranged Rees poset with ``R.leq`` and takes its covers from
 ``reference_poset_from_order`` finds covers through down-sets, not by
 the library's walk over each up-set.  ``reference_divisibility_poset``
 finds a divisibility poset's covers by a dict lookup of every sum of an
-element and a generator, not by the library's packed ints.
+element and a generator, formed here, not by reading the covers the
+library records as it enumerates a semigroup.
 """
 
 from posettop.constructions import (
@@ -18,7 +19,6 @@ from posettop.constructions import (
     support_descents,
 )
 from posettop.posets import Poset, induced_subposet, iter_bits, require_rank_info
-from posettop.semigroups import _add
 
 
 def reference_poset_from_order(labels, above_masks):
@@ -108,7 +108,7 @@ def reference_divisibility_poset(S, labels):
     covers = []
     for i, mu in enumerate(labels):
         for g in S.generators:
-            j = pos.get(_add(mu, g))
+            j = pos.get(tuple(a + b for a, b in zip(mu, g)))
             if j is not None:
                 covers.append((i, j))
     return Poset(tuple(labels), covers)

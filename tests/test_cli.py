@@ -311,14 +311,59 @@ class TestErrors:
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
     def test_size_limit_is_exit_2(self, capsys, tmp_path, monkeypatch):
-        # a layer cap of 10 makes the real enumeration stop at degree 2
+        # a cap of 10 elements makes the real enumeration stop at degree 2,
+        # where 15 elements would join the first 6
         s = tmp_path / "s.json"
         run_cli(capsys, "-o", str(s), "semigroup", "natural", "--d", "5")
-        monkeypatch.setattr(semigroups, "LAYER_CAP", 10)
+        monkeypatch.setattr(semigroups, "ELEMENT_CAP", 10)
         code = main(["semigroup", "koszul-test", str(s), "--max-rank", "3"])
         err = capsys.readouterr().err
         assert code == 2
-        assert err == "error: layer 2 has 15 elements, LAYER_CAP is 10\n"
+        assert err == ("error: degree 2 would bring the enumeration to 21 elements, "
+                       "ELEMENT_CAP is 10\n")
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="sets a child's address-space limit")
+    def test_element_cap_refuses_early(self, capsys, tmp_path):
+        # N^2 has m + 1 elements of degree m, so the cap is reached at
+        # degree 631, long before the degree-20000 layer of the element; a
+        # cap per layer would enumerate some 2 * 10^8 elements first, so the
+        # child runs under a time and an address-space limit
+        import resource
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+        s = tmp_path / "s.json"
+        run_cli(capsys, "-o", str(s), "semigroup", "natural", "--d", "2")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run(
+            [sys.executable, "-m", "posettop.cli", "semigroup", "interval", str(s),
+             "--element", "20000,0"],
+            env=env, preexec_fn=limit, capture_output=True, text=True, timeout=5)
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert done.stderr == ("error: degree 631 would bring the enumeration to 200028 "
+                               "elements, ELEMENT_CAP is 200000\n")
+
+    @pytest.mark.parametrize("data", [
+        {"dim": 2, "generators": [[1.7, 0], [0, 1]], "weight": [1, 1], "scale": 1},
+        {"dim": 2, "generators": [[1, 0], [0, 1]], "weight": [1, 1], "scale": 1.9},
+        {"dim": 2, "generators": [[1, 0], [0, 1]], "weight": [1.0, 1], "scale": 1},
+        {"dim": 2, "generators": [[True, 0], [0, 1]], "weight": [1, 1], "scale": 1},
+    ], ids=["float-coordinate", "float-scale", "float-weight", "bool-coordinate"])
+    @pytest.mark.parametrize("op", [["koszul-test", "--max-rank", "3"],
+                                    ["interval", "--element", "2,1"]],
+                             ids=["koszul-test", "interval"])
+    def test_non_integer_semigroup_numbers_are_usage_errors(self, capsys, tmp_path, data, op):
+        # read as 1, 1.7, 1.9 and true would make each file N^2
+        bad = tmp_path / "s.json"
+        bad.write_text(json.dumps(data))
+        code = main(["semigroup", op[0], str(bad), *op[1:]])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "integer" in captured.err
 
     def test_out_of_memory_is_exit_2(self, capsys, monkeypatch):
         # exit 1 would read as a failed check, so a MemoryError is a limit

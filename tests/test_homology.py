@@ -506,7 +506,7 @@ def sweep_corpus():
         _divisibility_order, natural_semigroup, punctured_veronese_semigroup,
         rees_semigroup)
     S = rees_semigroup(punctured_veronese_semigroup(3), natural_semigroup(2))
-    T = _divisibility_order(S, S.enumerate_up_to(3))
+    T = _divisibility_order(S, 3)
     return [augment(boolean(5)), augment(subword(5)), augment(rees_deranged(5)),
             augment(fiber_ideal(5, range(1, 6), 3).poset),
             augment(weighted_segre(boolean(4), boolean(3), rank_map(boolean(3))).poset),

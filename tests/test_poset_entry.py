@@ -15,6 +15,10 @@ The verdict helpers assume a nonempty interval, which only that sweep
 and ``is_acyclic_over`` guarantee: ``_interval_homology`` and
 ``homology._morse_summary`` are called from ``cohen_macaulay.py`` only,
 and ``_summary_violations`` also from the Koszul test in ``semigroups.py``.
+
+``semigroups._divisibility_order`` reads the divisibility order a
+semigroup records as it enumerates, so ``semigroups.py`` is its only
+caller and decides divisibility in one place.
 """
 
 import ast
@@ -70,6 +74,12 @@ def test_only_the_interval_sweep_builds_place_masks():
     callers = {p.name for p in MODULES if calls(p.read_text(), "_place_masks")}
     assert callers == {"cohen_macaulay.py"}
     assert calls("ext = homology._place_masks(A, A.topo_order())\n", "_place_masks") == [1]
+
+
+def test_only_semigroups_builds_divisibility_orders():
+    callers = {p.name for p in MODULES if calls(p.read_text(), "_divisibility_order")}
+    assert callers == {"semigroups.py"}
+    assert calls("T = semigroups._divisibility_order(S, 3)\n", "_divisibility_order") == [1]
 
 
 @pytest.mark.parametrize("callee, allowed", [

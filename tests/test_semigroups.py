@@ -212,11 +212,19 @@ class TestEnumeration:
         layers = N.enumerate_up_to(5)
         assert [x for layer in layers for x in layer] == [(m,) for m in range(6)]
 
-    def test_layer_cap(self, monkeypatch):
-        monkeypatch.setattr(semigroups, "LAYER_CAP", 3)
+    def test_element_cap(self, monkeypatch):
+        # the cap counts every element enumerated, over all degrees, and a
+        # refused layer leaves the semigroup as it was
+        monkeypatch.setattr(semigroups, "ELEMENT_CAP", 6)
         S = build_semigroup([(1, 0), (0, 1)])
-        with pytest.raises(SizeLimitError, match="layer 3 has 4 elements, LAYER_CAP is 3"):
-            S.enumerate_up_to(4)
+        assert [len(x) for x in S.enumerate_up_to(2)] == [1, 2, 3]
+        for _ in range(2):
+            with pytest.raises(SizeLimitError, match="degree 3 would bring the enumeration "
+                                                     "to 10 elements, ELEMENT_CAP is 6"):
+                S.contains((3, 0))
+            assert (len(S._labels), len(S._index), len(S._up), len(S._down),
+                    S._starts) == (6, 6, 3, 6, [0, 1, 3, 6])
+        assert S.contains((2, 0)) and not S.contains((2, -1))
 
     def test_membership(self):
         S = punctured_veronese_semigroup(2)  # generated by (2,0) and (0,2)
@@ -340,19 +348,19 @@ class TestKoszulTest:
                            integral_homology(order_complex(open_interval_below(S, lam))), m, "Q")]
             assert len(failing) > 1
             assert rep.witness[0] == failing[0]
-            D = dual(semigroups._divisibility_order(S, layers))
+            D = dual(semigroups._divisibility_order(S, ranks[-1]))
             crit = _critical_chains(_place_masks(D, D.topo_order()), 0)
             met = list(map(D.labels.__getitem__, crit.chains))
             assert sorted(failing, key=met.index) != failing
 
     def test_matches_the_two_poset_path(self):
-        # the packed divisibility builder and the dict-based one give the
+        # the recorded divisibility order and the dict-based one give the
         # same dual poset, critical-chain ids and reports
         cases = benchmark_semigroups()
         assert len(cases) == 18
         for name, S, r in cases:
             layers = S.enumerate_up_to(r)
-            D = dual(semigroups._divisibility_order(S, layers))
+            D = dual(semigroups._divisibility_order(S, r))
             T = dual(reference_divisibility_poset(S, [x for layer in layers for x in layer]))
             assert (D.labels, D.covers, D._index) == (T.labels, T.covers, T._index), name
             assert (D._up_adj, D._down_adj) == (T._up_adj, T._down_adj), name
@@ -445,6 +453,45 @@ class TestKoszulTest:
         assert rep.coefficients == "GF(2)"
 
 
+def grown_past(make, r):
+    """Two copies of a semigroup enumerated beyond degree ``r``: one to
+    degree r + 2 by ``contains``, one by ``enumerate_up_to(r + 2)``."""
+    by_membership, by_layers = make(), make()
+    assert by_membership.contains(tuple((r + 2) * a for a in by_membership.generators[0]))
+    by_layers.enumerate_up_to(r + 2)
+    return by_membership, by_layers
+
+
+class TestRecordedOrder:
+    """The divisibility order is recorded while the layers are enumerated,
+    so what is read from it must not depend on how far a semigroup has
+    been enumerated before."""
+
+    def test_divisibility_order_after_growth(self):
+        for name, make, r, _ in KOSZUL_CORPUS:
+            labels = [x for layer in make().enumerate_up_to(r) for x in layer]
+            for S in grown_past(make, r):
+                assert len(S._labels) > len(labels), name
+                ref = reference_divisibility_poset(S, labels)
+                assert same_order_data(semigroups._divisibility_order(S, r), ref), name
+
+    def test_koszul_report_after_growth(self):
+        for name, make, r, _ in KOSZUL_CORPUS:
+            for coeffs in ("Q", 2, "z-spherical"):
+                fresh = koszul_necessary_test(make(), r, coeffs)
+                for S in grown_past(make, r):
+                    assert koszul_necessary_test(S, r, coeffs) == fresh, (name, coeffs)
+
+    def test_lower_interval_after_growth(self):
+        for name, make, r, _ in KOSZUL_CORPUS:
+            grown = grown_past(make, r)
+            for layer in make().enumerate_up_to(min(r, 3)):
+                for lam in layer:
+                    fresh = lower_interval(make(), lam)
+                    for S in grown:
+                        assert same_order_data(lower_interval(S, lam), fresh), (name, lam)
+
+
 class TestSegreSemigroup:
     def test_veronese_shape(self):
         N = build_semigroup([(1,)])
@@ -486,6 +533,13 @@ class TestSegreSemigroup:
         N2 = natural_semigroup(2)
         with pytest.raises(SemigroupError, match="positive"):
             grading_map(N2, (1, 0))
+        # a ready GradingMap is checked by the same rule, its length too
+        with pytest.raises(SemigroupError, match="positive"):
+            segre_semigroup(N2, N2, GradingMap((1, 0)))
+        with pytest.raises(SemigroupError, match="length 1, expected 2"):
+            segre_semigroup(N2, N2, GradingMap((1,)))
+        view = segre_semigroup(N2, N2, GradingMap((1, 2)))
+        assert view.grading == grading_map(N2, (1, 2))
 
     def test_membership(self):
         N = build_semigroup([(1,)])
@@ -570,6 +624,20 @@ class TestSerialization:
         for bad in ({**data, "dim": 3}, {**data, "dim": "2"}, data):
             with pytest.raises(SemigroupError, match='"dim"'):
                 semigroup_from_data(bad)
+
+    def test_numbers_must_be_integers(self):
+        # a float or a bool is refused: read as 1, 1.7 and true would make
+        # the answers be about another semigroup
+        data = {"dim": 2, "generators": [[1, 0], [0, 1]], "weight": [1, 1], "scale": 1}
+        bad = [{**data, "generators": [[1.7, 0], [0, 1]], "scale": 1.9},
+               {**data, "generators": [[1.0, 0], [0, 1]]},
+               {**data, "generators": [[True, 0], [0, 1]]},
+               {**data, "weight": [1, 1.0]}, {**data, "weight": [False, 1]},
+               {**data, "scale": 1.0}, {**data, "scale": True}, {**data, "scale": "1"}]
+        for case in bad:
+            with pytest.raises(SemigroupError, match="integer"):
+                semigroup_from_data(case)
+        assert semigroup_from_data(data).generators == ((0, 1), (1, 0))
 
 
 class TestSelfDualityDegreeFour:
