@@ -38,7 +38,7 @@ class ImpurePosetError(PosetError):
 
 
 class SizeLimitError(RuntimeError):
-    """A fixed size cutoff (``ISO_SIZE_LIMIT``, ``semigroups.ELEMENT_CAP``)
+    """A fixed size cutoff (``ISO_SIZE_LIMIT``, ``semigroups.COVER_CAP``)
     was exceeded; the CLI maps it to exit 2."""
 
 

@@ -8,19 +8,22 @@ integer weight vector ``w`` and a positive scale ``s`` such that
 elements are enumerated layer by layer: the degree-m elements are the
 sums of a degree-(m-1) element and a generator.
 
-That walk is the one place that adds a generator to an element, and it
-records the divisibility order as it goes: each element's index (by
-degree, then lexicographically) and its up and down covers, as ascending
-index tuples.  Everything else reads the record.  Membership is an index
-lookup, ``_divisibility_order`` is the recorded order on the elements up
-to a degree, and ``lower_interval`` collects an element's down-set along
-the down covers.  The Koszul test takes the dual of the divisibility order
-up to its rank bound and judges each interval (0, x) as (x, 0) inside that
-one poset, by one call of the Cohen-Macaulay test's interval sweep
-(``cohen_macaulay._undecided_intervals``) down from the zero element.
-Since a cover raises the degree by one, [0, x] is graded by degree, so
-(0, x) is pure and, for deg x >= 2, holds the generators below x: the
-test needs no emptiness or purity check.
+That walk, ``HomogeneousSemigroup._grow``, is the one place that adds a
+generator to an element, and it records the divisibility order as it
+goes: each element's index (by degree, then lexicographically) and its
+up and down covers, as ascending index tuples.  Everything else reads
+the record.  Membership is an index lookup, ``_divisibility_order`` is
+the recorded order on the elements up to a degree, and
+``lower_interval`` collects an element's down-set along the down covers.
+The punctured Veronese generators are a recorded layer of N^d, and a
+weighted Segre product is read from the record of one product semigroup
+on concatenated pairs.  The Koszul test takes the dual of the
+divisibility order up to its rank bound and judges each interval (0, x)
+as (x, 0) inside that one poset, by one call of the Cohen-Macaulay
+test's interval sweep (``cohen_macaulay._undecided_intervals``) down from
+the zero element.  Since a cover raises the degree by one, [0, x] is
+graded by degree, so (0, x) is pure and, for deg x >= 2, holds the
+generators below x: the test needs no emptiness or purity check.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from .cohen_macaulay import _summary_violations, _undecided_intervals, cm_coeffi
 from .homology import parse_coefficients
 from .posets import Poset, SizeLimitError, _transpose, dual, open_interval
 
-ELEMENT_CAP = 200_000  # most elements one semigroup enumerates, over all degrees
+COVER_CAP = 400_000  # most up covers one semigroup records, over all degrees
 
 
 class SemigroupError(ValueError):
@@ -65,8 +68,10 @@ class HomogeneousSemigroup:
     ``_index`` inverts it, ``_starts[m]`` is the index of the first element
     of degree m, ``_down[i]`` holds the indices covered by element i and
     ``_up[i]`` those covering it (for every layer below the top one).
-    Enumerating more than ``ELEMENT_CAP`` elements in all raises
-    :class:`SizeLimitError` (exit 2 in the CLI) and records nothing.
+    A layer that would record more than ``COVER_CAP`` up covers in all
+    (one per element below it and generator) raises
+    :class:`SizeLimitError` (exit 2 in the CLI) before it is summed, and
+    records nothing.
     """
 
     __slots__ = ("dim", "generators", "weight", "scale",
@@ -112,14 +117,14 @@ class HomogeneousSemigroup:
             raise SemigroupError("need r >= 0")
         while len(self._starts) <= r + 1:
             below, start = self._starts[-2:]
+            covers = start * len(self.generators)
+            if covers > COVER_CAP:
+                raise SizeLimitError(
+                    f"degree {len(self._starts) - 1} would record {covers} "
+                    f"up covers, COVER_CAP is {COVER_CAP}")
             sums = [[tuple(map(add, x, g)) for g in self.generators]
                     for x in self._labels[below:]]
             layer = sorted(set(chain.from_iterable(sums)))
-            end = start + len(layer)
-            if end > ELEMENT_CAP:
-                raise SizeLimitError(
-                    f"degree {len(self._starts) - 1} would bring the enumeration "
-                    f"to {end} elements, ELEMENT_CAP is {ELEMENT_CAP}")
             self._index.update(zip(layer, count(start)))
             down = [[] for _ in layer]
             for i, row in enumerate(sums, below):
@@ -129,7 +134,7 @@ class HomogeneousSemigroup:
                     down[j - start].append(i)
             self._labels += layer
             self._down += map(tuple, down)
-            self._starts.append(end)
+            self._starts.append(start + len(layer))
 
     def contains(self, x: Iterable[int]) -> bool:
         """Membership, looked up after enumerating to the element's degree."""
@@ -154,9 +159,8 @@ def build_semigroup(generators: Iterable[Iterable[int]],
     Without an explicit functional, the all-ones weight is used and the
     common coordinate sum of the generators is the scale.  Every
     coordinate, weight entry and the scale must be an ``int``: a float or
-    a bool is refused, not truncated.  Enumerating more than
-    ``ELEMENT_CAP`` elements raises :class:`SizeLimitError` (exit 2 in the
-    CLI).
+    a bool is refused, not truncated.  Recording more than ``COVER_CAP``
+    up covers raises :class:`SizeLimitError` (exit 2 in the CLI).
 
     >>> N2 = build_semigroup([(1, 0), (0, 1)])
     >>> N2.degree((2, 3))
@@ -210,17 +214,9 @@ def punctured_veronese_semigroup(d: int) -> HomogeneousSemigroup:
     """
     if d < 2:
         raise SemigroupError("need d >= 2")
-    import itertools
-    gens = []
     ones = (1,) * d
-    for comp in itertools.combinations_with_replacement(range(d), d):
-        v = [0] * d
-        for i in comp:
-            v[i] += 1
-        v = tuple(v)
-        if v != ones:
-            gens.append(v)
-    return build_semigroup(sorted(set(gens)), weight=(1,) * d, scale=d)
+    gens = [v for v in natural_semigroup(d).enumerate_up_to(d)[d] if v != ones]
+    return build_semigroup(gens, weight=ones, scale=d)
 
 
 def _divisibility_order(S: HomogeneousSemigroup, r: int) -> Poset:
@@ -361,10 +357,16 @@ def grading_map(S: HomogeneousSemigroup, weight: Iterable[int]) -> GradingMap:
 class SegreSemigroupView:
     """Lazy weighted Segre product of two semigroups.
 
-    Elements are the pairs ``(x, y)`` with ``deg(x) = g(y)``; the view
-    enumerates them by the degree of the second coordinate.  Its
-    divisibility intervals come from the product semigroup, generated by
-    the degree-one pairs.
+    Elements are the pairs ``(x, y)`` with ``deg(x) = g(y)``, of degree
+    ``deg(y)``.  They are read, split back into pairs, from one product
+    semigroup on the concatenated vectors ``x + y``, generated by the
+    degree-one pairs: for each generator ``y`` of the second factor, every
+    ``x`` of degree ``g(y)`` in the first.  That semigroup holds every
+    pair: ``y`` is a sum of generators ``y_1, ..., y_m``, and ``x``, a sum
+    of ``deg(x) = g(y_1) + ... + g(y_m)`` generators, splits into parts
+    ``x_i`` of degree ``g(y_i)``, so ``(x, y)`` is the sum of the
+    degree-one pairs ``(x_i, y_i)``.  Layers, membership and intervals
+    are therefore read from its record, as for any semigroup.
     """
 
     def __init__(self, first: HomogeneousSemigroup, second: HomogeneousSemigroup,
@@ -376,44 +378,38 @@ class SegreSemigroupView:
     def degree(self, pair) -> int:
         return self.second.degree(pair[1])
 
+    def _vector(self, pair) -> Vector:
+        """The pair as one product vector, each half checked."""
+        return (_vec(pair[0], self.first.dim, "first coordinate")
+                + _vec(pair[1], self.second.dim, "second coordinate"))
+
     def contains(self, pair) -> bool:
-        x, y = pair
-        x = _vec(x, self.first.dim, "first coordinate")
-        y = _vec(y, self.second.dim, "second coordinate")
-        if not self.second.contains(y):
-            return False
-        gx = self.grading(y)
-        return self.first.degree(x) == gx if self.first.contains(x) else False
+        """Membership, looked up in the product semigroup."""
+        return self._product.contains(self._vector(pair))
 
     def enumerate_up_to(self, r: int) -> list[list[tuple[Vector, Vector]]]:
-        layers = []
-        second_layers = self.second.enumerate_up_to(r)
-        for m in range(r + 1):
-            layer = []
-            for y in second_layers[m]:
-                gy = self.grading(y)
-                for x in self.first.enumerate_up_to(gy)[gy]:
-                    layer.append((x, y))
-            layers.append(sorted(layer))
-        return layers
+        """Layers of pairs of degree 0..r, sorted."""
+        d = self.first.dim
+        return [[split_pair(v, d) for v in layer]
+                for layer in self._product.enumerate_up_to(r)]
 
     @cached_property
     def _product(self) -> HomogeneousSemigroup:
-        """The Segre product as one semigroup on concatenated pairs
-        ``x + y``, generated by its degree-one pairs."""
-        gens = [x + y for (x, y) in self.enumerate_up_to(1)[1]]
+        """The product semigroup on concatenated pairs ``x + y``."""
+        ys = self.second.generators
+        layers = self.first.enumerate_up_to(max(map(self.grading, ys)))
+        gens = [x + y for y in ys for x in layers[self.grading(y)]]
         return build_semigroup(gens, weight=(0,) * self.first.dim + self.second.weight,
                                scale=self.second.scale)
 
     def lower_interval(self, pair) -> Poset:
         """Divisibility interval [0, pair], by ``lower_interval`` on the
         product semigroup, with each element split back into a pair."""
-        lam = _vec(pair[0], self.first.dim, "first coordinate")
-        gam = _vec(pair[1], self.second.dim, "second coordinate")
-        if not self.contains((lam, gam)):
-            raise SemigroupError(f"({lam}, {gam}) is not in the Segre product")
-        P = lower_interval(self._product, lam + gam)
-        labels = tuple(split_pair(v, self.first.dim) for v in P.labels)
+        v = self._vector(pair)
+        if not self._product.contains(v):
+            raise SemigroupError(f"{split_pair(v, self.first.dim)} is not in the Segre product")
+        P = lower_interval(self._product, v)
+        labels = tuple(split_pair(u, self.first.dim) for u in P.labels)
         return Poset._assemble(labels, P._up_adj, P._down_adj)
 
 

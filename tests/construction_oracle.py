@@ -9,8 +9,17 @@ image in the deranged Rees poset with ``R.leq`` and takes its covers from
 the library's walk over each up-set.  ``reference_divisibility_poset``
 finds a divisibility poset's covers by a dict lookup of every sum of an
 element and a generator, formed here, not by reading the covers the
-library records as it enumerates a semigroup.
+library records as it enumerates a semigroup.  ``reference_segre_pairs``
+lists a weighted Segre product's pairs by looping over the factors'
+layers, and ``reference_segre_intervals`` finds the pairs below a pair by
+subtracting degree-one pairs, not from the product semigroup the library
+reads them from.  ``reference_veronese_generators`` lists the punctured
+Veronese generators from ``combinations_with_replacement``, not from a
+layer of N^d.
 """
+
+from itertools import combinations_with_replacement
+from operator import sub
 
 from posettop.constructions import (
     FiberIdeal,
@@ -112,3 +121,43 @@ def reference_divisibility_poset(S, labels):
             if j is not None:
                 covers.append((i, j))
     return Poset(tuple(labels), covers)
+
+
+def reference_segre_pairs(first, second, grading, r):
+    """Layers 0..r of the weighted Segre product: for each ``y`` of degree
+    m in ``second``, every ``x`` of degree ``grading(y)`` in ``first``."""
+    layers = []
+    for layer in second.enumerate_up_to(r):
+        pairs = []
+        for y in layer:
+            gy = grading(y)
+            pairs += [(x, y) for x in first.enumerate_up_to(gy)[gy]]
+        layers.append(sorted(pairs))
+    return layers
+
+
+def reference_segre_intervals(layers):
+    """[0, p] for every listed pair ``p``, by pair: ``q`` lies below ``p``
+    iff ``q = p`` or ``q`` lies below ``p - s`` for a degree-one pair ``s``
+    with ``p - s`` listed, and ``p`` covers those ``p - s``."""
+    order = [p for layer in layers for p in layer]
+    at = {p: i for i, p in enumerate(order)}
+    lower = [[at[q] for s in layers[1]
+              if (q := tuple(tuple(map(sub, u, v)) for u, v in zip(p, s))) in at]
+             for p in order]
+    below = []
+    for i, down in enumerate(lower):
+        below.append(frozenset({i}).union(*map(below.__getitem__, down)))
+    intervals = {}
+    for p, members in zip(order, map(sorted, below)):
+        pos = {k: n for n, k in enumerate(members)}
+        covers = [(pos[j], pos[k]) for k in members for j in lower[k]]
+        intervals[p] = Poset(tuple(map(order.__getitem__, members)), covers)
+    return intervals
+
+
+def reference_veronese_generators(d):
+    """The degree-d vectors of N^d but the all-ones one, ascending."""
+    gens = {tuple(c.count(i) for i in range(d))
+            for c in combinations_with_replacement(range(d), d)}
+    return tuple(sorted(gens - {(1,) * d}))

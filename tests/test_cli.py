@@ -311,23 +311,23 @@ class TestErrors:
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
     def test_size_limit_is_exit_2(self, capsys, tmp_path, monkeypatch):
-        # a cap of 10 elements makes the real enumeration stop at degree 2,
-        # where 15 elements would join the first 6
+        # a cap of 10 covers makes the real enumeration stop at degree 2,
+        # where the 6 elements below would record 5 up covers each
         s = tmp_path / "s.json"
         run_cli(capsys, "-o", str(s), "semigroup", "natural", "--d", "5")
-        monkeypatch.setattr(semigroups, "ELEMENT_CAP", 10)
+        monkeypatch.setattr(semigroups, "COVER_CAP", 10)
         code = main(["semigroup", "koszul-test", str(s), "--max-rank", "3"])
         err = capsys.readouterr().err
         assert code == 2
-        assert err == ("error: degree 2 would bring the enumeration to 21 elements, "
-                       "ELEMENT_CAP is 10\n")
+        assert err == "error: degree 2 would record 30 up covers, COVER_CAP is 10\n"
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="sets a child's address-space limit")
     def test_element_cap_refuses_early(self, capsys, tmp_path):
-        # N^2 has m + 1 elements of degree m, so the cap is reached at
-        # degree 631, long before the degree-20000 layer of the element; a
-        # cap per layer would enumerate some 2 * 10^8 elements first, so the
-        # child runs under a time and an address-space limit
+        # N^2 has m(m + 1)/2 elements below degree m, each with 2 up
+        # covers, so the cap is reached at degree 632, long before the
+        # degree-20000 layer of the element; a cap per layer would enumerate
+        # some 2 * 10^8 elements first, so the child runs under a time and
+        # an address-space limit
         import resource
 
         def limit():
@@ -343,8 +343,8 @@ class TestErrors:
             env=env, preexec_fn=limit, capture_output=True, text=True, timeout=5)
         assert done.returncode == 2
         assert done.stdout == ""
-        assert done.stderr == ("error: degree 631 would bring the enumeration to 200028 "
-                               "elements, ELEMENT_CAP is 200000\n")
+        assert done.stderr == ("error: degree 632 would record 400056 up covers, "
+                               "COVER_CAP is 400000\n")
 
     @pytest.mark.parametrize("data", [
         {"dim": 2, "generators": [[1.7, 0], [0, 1]], "weight": [1, 1], "scale": 1},

@@ -18,7 +18,10 @@ and ``_summary_violations`` also from the Koszul test in ``semigroups.py``.
 
 ``semigroups._divisibility_order`` reads the divisibility order a
 semigroup records as it enumerates, so ``semigroups.py`` is its only
-caller and decides divisibility in one place.
+caller and decides divisibility in one place.  That enumeration,
+``HomogeneousSemigroup._grow``, is the one place in ``semigroups.py`` that
+adds a generator to an element: ``operator.add`` is used nowhere else
+there, and no semigroup lists vectors by ``combinations_with_replacement``.
 """
 
 import ast
@@ -40,6 +43,25 @@ def calls(source: str, callee: str) -> list[int]:
             if name == callee:
                 lines.append(node.lineno)
     return sorted(lines)
+
+
+def scoped_uses(source: str, name: str, module: str) -> list[str]:
+    """The enclosing ``Class.function`` of each use of ``name``, bare or as
+    ``module.name``; ``""`` for a use at module level."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + (child.name,))
+                continue
+            if (isinstance(child, ast.Name) and child.id == name
+                    or isinstance(child, ast.Attribute) and child.attr == name
+                    and isinstance(child.value, ast.Name) and child.value.id == module):
+                found.append(".".join(scope))
+            visit(child, scope)
+    visit(ast.parse(source), ())
+    return found
 
 
 def poset_calls(source: str) -> list[int]:
@@ -80,6 +102,22 @@ def test_only_semigroups_builds_divisibility_orders():
     callers = {p.name for p in MODULES if calls(p.read_text(), "_divisibility_order")}
     assert callers == {"semigroups.py"}
     assert calls("T = semigroups._divisibility_order(S, 3)\n", "_divisibility_order") == [1]
+
+
+def test_only_the_layer_walk_adds_vectors():
+    source = (SRC / "semigroups.py").read_text()
+    assert set(scoped_uses(source, "add", "operator")) == {"HomogeneousSemigroup._grow"}
+    assert scoped_uses(source, "combinations_with_replacement", "itertools") == []
+    probe = ("import itertools, operator\n"
+             "from operator import add\n"
+             "class C:\n"
+             "    def f(self, x, g):\n"
+             "        return tuple(map(add, x, g)), list(map(operator.add, x, g))\n"
+             "def h(d, seen):\n"
+             "    seen.add(d)\n"
+             "    return itertools.combinations_with_replacement(range(d), d)\n")
+    assert scoped_uses(probe, "add", "operator") == ["C.f", "C.f"]
+    assert scoped_uses(probe, "combinations_with_replacement", "itertools") == ["h"]
 
 
 @pytest.mark.parametrize("callee, allowed", [

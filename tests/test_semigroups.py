@@ -1,5 +1,9 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -45,7 +49,12 @@ from posettop.semigroups import (
     split_pair,
 )
 
-from construction_oracle import reference_divisibility_poset
+from construction_oracle import (
+    reference_divisibility_poset,
+    reference_segre_intervals,
+    reference_segre_pairs,
+    reference_veronese_generators,
+)
 from test_constructions import is_order_isomorphism, same_order_data
 from test_posets import boolean_lattice
 
@@ -199,9 +208,9 @@ class TestEnumeration:
         assert [len(x) for x in layers] == [1, 2, 3]
 
     def test_veronese_family_generator_counts(self):
-        assert len(punctured_veronese_semigroup(2).generators) == 2
-        assert len(punctured_veronese_semigroup(3).generators) == 9
-        assert len(punctured_veronese_semigroup(4).generators) == 34
+        for d, count in [(2, 2), (3, 9), (4, 34), (5, 125)]:
+            gens = punctured_veronese_semigroup(d).generators
+            assert len(gens) == count and gens == reference_veronese_generators(d)
 
     def test_lambda3_first_layer(self):
         S = punctured_veronese_semigroup(3)
@@ -213,18 +222,46 @@ class TestEnumeration:
         assert [x for layer in layers for x in layer] == [(m,) for m in range(6)]
 
     def test_element_cap(self, monkeypatch):
-        # the cap counts every element enumerated, over all degrees, and a
-        # refused layer leaves the semigroup as it was
-        monkeypatch.setattr(semigroups, "ELEMENT_CAP", 6)
+        # the cap counts the up covers recorded over all degrees, one per
+        # element below the new layer and generator, and a refused layer
+        # leaves the semigroup as it was
+        monkeypatch.setattr(semigroups, "COVER_CAP", 6)
         S = build_semigroup([(1, 0), (0, 1)])
         assert [len(x) for x in S.enumerate_up_to(2)] == [1, 2, 3]
         for _ in range(2):
-            with pytest.raises(SizeLimitError, match="degree 3 would bring the enumeration "
-                                                     "to 10 elements, ELEMENT_CAP is 6"):
+            with pytest.raises(SizeLimitError,
+                               match="degree 3 would record 12 up covers, COVER_CAP is 6"):
                 S.contains((3, 0))
             assert (len(S._labels), len(S._index), len(S._up), len(S._down),
                     S._starts) == (6, 6, 3, 6, [0, 1, 3, 6])
         assert S.contains((2, 0)) and not S.contains((2, -1))
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM")
+    def test_cover_cap_refuses_before_summing(self):
+        # with 34 generators the cap is reached at degree 9, from the
+        # 17,360 elements below it, before the layer's sums are formed; the
+        # child reports its own time and peak resident size (VmHWM, kB)
+        code = ("import time\n"
+                "from posettop.posets import SizeLimitError\n"
+                "from posettop.semigroups import punctured_veronese_semigroup\n"
+                "S = punctured_veronese_semigroup(4)\n"
+                "t = time.perf_counter()\n"
+                "try:\n"
+                "    S.contains((240, 0, 0, 0))\n"
+                "except SizeLimitError as e:\n"
+                "    print(e)\n"
+                "print(time.perf_counter() - t)\n"
+                "print(next(line.split()[1] for line in open('/proc/self/status')\n"
+                "           if line.startswith('VmHWM:')))\n")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=10)
+        message, seconds, peak_kb = done.stdout.splitlines()
+        assert message == "degree 9 would record 590240 up covers, COVER_CAP is 400000"
+        assert float(seconds) < 1.0
+        assert int(peak_kb) < 100 * 1024
 
     def test_membership(self):
         S = punctured_veronese_semigroup(2)  # generated by (2,0) and (0,2)
@@ -546,6 +583,72 @@ class TestSegreSemigroup:
         view = segre_semigroup(N, N, (2,))
         assert view.contains(((4,), (2,)))
         assert not view.contains(((3,), (2,)))
+
+
+# (name, first factor, second factor, grading weight)
+SEGRE_VIEWS = [
+    ("N^2 x N^2, g = (1,1)", lambda: natural_semigroup(2), lambda: natural_semigroup(2), (1, 1)),
+    ("N^2 x N^2, g = (2,2)", lambda: natural_semigroup(2), lambda: natural_semigroup(2), (2, 2)),
+    ("N^3 x N^2", lambda: natural_semigroup(3), lambda: natural_semigroup(2), (1, 1)),
+    ("N^2 x N, g = (2,)", lambda: natural_semigroup(2), lambda: natural_semigroup(1), (2,)),
+    ("punctured Veronese(3) x N^2", lambda: punctured_veronese_semigroup(3),
+     lambda: natural_semigroup(2), (1, 1)),
+    ("Veronese(2,2) x N^2, g = (1,2)", lambda: veronese_semigroup(2, 2),
+     lambda: natural_semigroup(2), (1, 2)),
+    ("N^2 x Veronese(2,2)", lambda: natural_semigroup(2), lambda: veronese_semigroup(2, 2),
+     (1, 1)),
+]
+
+
+def near_pairs(pair):
+    """The pair, and the pair with one coordinate moved by one: up, down,
+    or over to another coordinate of the same half."""
+    out = [pair]
+    for h, half in enumerate(pair):
+        for i in range(len(half)):
+            for step in (1, -1):
+                out.append(_moved(pair, h, {i: step}))
+            out += [_moved(pair, h, {i: -1, j: 1}) for j in range(len(half)) if j != i]
+    return out
+
+
+def _moved(pair, h, steps):
+    half = tuple(a + steps.get(i, 0) for i, a in enumerate(pair[h]))
+    return (half, pair[1]) if h == 0 else (pair[0], half)
+
+
+@pytest.mark.parametrize("name, first, second, g", SEGRE_VIEWS, ids=[v[0] for v in SEGRE_VIEWS])
+class TestSegreViewAgainstReference:
+    """The view's layers, membership and lower intervals to degree 5 equal
+    those of the nested-loop pair listing."""
+
+    def test_layers(self, name, first, second, g):
+        S, T = first(), second()
+        assert segre_semigroup(S, T, g).enumerate_up_to(5) == \
+            reference_segre_pairs(S, T, grading_map(T, g), 5)
+
+    def test_contains(self, name, first, second, g):
+        # from pairs of degree 4 and below, a moved coordinate gives pairs
+        # with deg x != g(y), negative entries and non-integral degrees, all
+        # of degree 5 at most
+        S, T = first(), second()
+        ref = reference_segre_pairs(S, T, grading_map(T, g), 5)
+        listed = {p for layer in ref for p in layer}
+        view = segre_semigroup(first(), second(), g)
+        seen = {True: 0, False: 0}
+        for layer in ref[:5]:
+            for pair in layer:
+                for q in near_pairs(pair):
+                    assert view.contains(q) == (q in listed), (name, q)
+                    seen[q in listed] += 1
+        assert seen[True] and seen[False]
+
+    def test_lower_intervals(self, name, first, second, g):
+        S, T = first(), second()
+        ref = reference_segre_intervals(reference_segre_pairs(S, T, grading_map(T, g), 5))
+        view = segre_semigroup(first(), second(), g)
+        for pair, P in ref.items():
+            assert same_order_data(view.lower_interval(pair), P), (name, pair)
 
 
 class TestReesSemigroup:
