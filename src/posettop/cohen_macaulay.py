@@ -24,11 +24,11 @@ gets its integral homology from ``_interval_homology``: the critical
 chains fix it when no two sit in adjacent dimensions (free, one
 generator per chain), and otherwise the homology engine,
 ``integral_homology`` of the interval's order complex, fixes torsion and
-the failure text.  ``is_acyclic_over`` takes the same two steps on the
-one interval (0^, 1^).  No empty
-interval reaches these steps: the sweep passes cover pairs by their lone
-empty chain, and ``is_acyclic_over`` answers a lone chain size itself,
-so ``_summary_violations`` judges a summary of a nonempty interval.
+the failure text.  ``_order_homology`` takes the same two steps on the
+interval (0^, 1^) of a whole poset.  No empty interval reaches these
+steps: the sweep passes cover pairs by their lone empty chain and
+``_order_homology`` answers the empty poset itself, so
+``_summary_violations`` judges a summary of a nonempty interval.
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ from .homology import (
     _place_masks,
     field_name,
     integral_homology,
+    make_summary,
     parse_coefficients,
 )
 from .posets import (
@@ -164,13 +165,10 @@ def _interval_items(P: Poset):
 
 
 def _interval_homology(A: Poset, i: int, j: int, sizes) -> HomologySummary:
-    """Integral reduced homology of the open interval between the indices
-    ``i < j`` of ``A``, given the sizes of its critical chains
-    (``_critical_chains(_place_masks(A, order), j).sizes(i)``).
-
-    The sweeps call it only where the chain sizes alone do not decide the
-    interval (``_undecided_intervals``).  The critical chains fix the
-    homology unless two of them sit in adjacent dimensions; then the
+    """Integral reduced homology of the nonempty open interval between the
+    indices ``i < j`` of ``A``, given the sizes of its critical chains
+    (``_critical_chains(_place_masks(A, order), j).sizes(i)``).  They fix
+    the homology unless two of them sit in adjacent dimensions; then the
     interval is built and its order complex goes to the homology engine.
     """
     summary = _morse_summary(sizes)
@@ -240,25 +238,25 @@ def is_cm_complex(K, coeffs: CoeffSpec = "Q") -> CMReport:
     return is_cm_poset(face_poset(K), coeffs)
 
 
-def is_acyclic_over(P: Poset, coeffs: CoeffSpec) -> bool:
-    """All reduced homology of the order complex vanishes over the field.
-
-    No critical chain of the interval (0^, 1^) of ``augment(P)`` means
-    acyclic; critical chains all of one size, or more generally in no two
-    adjacent dimensions, mean free nonzero homology, so not acyclic over
-    any field.  Otherwise the homology engine decides.
-    """
-    mode = parse_coefficients(coeffs)
+def _order_homology(P: Poset) -> HomologySummary:
+    """Integral reduced homology of the order complex of ``P``: one
+    critical-chain pass down from 1^ of ``augment(P)``, then
+    ``_interval_homology`` on (0^, 1^).  The empty poset has the empty
+    complex, whose lone class sits in dimension -1."""
+    if not len(P):
+        return make_summary("Z", {}, empty_complex=True)
     A = augment(P)
     top = len(A) - 1
-    crit = _critical_chains(_place_masks(A, A.topo_order()), top)
-    sizes = set(crit.sizes(0))
-    if len(sizes) < 2:
-        return not sizes
-    summary = _interval_homology(A, 0, top, crit.sizes(0))
-    if mode != "Z":
-        summary = summary.over_field(mode)
-    return summary.is_trivial()
+    sizes = _critical_chains(_place_masks(A, A.topo_order()), top).sizes(0)
+    return _interval_homology(A, 0, top, sizes)
+
+
+def is_acyclic_over(P: Poset, coeffs: CoeffSpec) -> bool:
+    """All reduced homology of the order complex vanishes over the field;
+    ``"Z"`` asks for vanishing integral homology (``_order_homology``)."""
+    mode = parse_coefficients(coeffs)
+    summary = _order_homology(P)
+    return (summary if mode == "Z" else summary.over_field(mode)).is_trivial()
 
 
 # -- preservation suite ----------------------------------------------------

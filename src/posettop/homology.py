@@ -336,8 +336,8 @@ def _morse_summary(sizes) -> Optional[HomologySummary]:
     homology is free with one generator per critical chain.  The empty
     chain, of size 0, is critical only on an empty interval, and no caller
     hands one in: ``cohen_macaulay._undecided_intervals`` passes cover
-    pairs by their chain sizes, and ``is_acyclic_over`` answers a lone
-    chain size itself.
+    pairs by their chain sizes, and ``cohen_macaulay._order_homology``
+    answers the empty poset itself.
     """
     counts = Counter(s - 1 for s in sizes)
     if any(d + 1 in counts for d in counts):

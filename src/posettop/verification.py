@@ -6,7 +6,9 @@ in the subword order, the derangement-rank homology of the deranged
 Rees posets and of the subword posets, the four-way Moebius identity
 for the Segre square of the subset lattice, the Cohen-Macaulay
 preservation suite, the semigroup Koszul checks, and the internal
-cross-validation of the homology engine against elimination.
+cross-validation of the homology engine against elimination.  The
+word-ideal, Rees and subword blocks take a poset's homology from
+``cohen_macaulay._order_homology``.
 
 Every check is exact; a failed check names the expected and computed
 values.  The checks run one after another in the calling process, and
@@ -20,7 +22,7 @@ import random
 import time
 from dataclasses import dataclass
 
-from .cohen_macaulay import cm_preservation_suite
+from .cohen_macaulay import _order_homology, cm_preservation_suite
 from .complexes import order_complex, reduced_euler, simplicial_complex
 from .constructions import (
     fiber_ideal,
@@ -202,8 +204,8 @@ def run_verification(table_max_n: int = 6,
     """Run every verification block and return the combined report.
 
     The default bounds match the documented budget (one process,
-    13-19 s measured on a 2-core Intel Xeon host with Python 3.11,
-    dominated by the n = 6 table row).
+    10.7-14.1 s and 70 MB VmHWM measured on a 2-core Intel Xeon host
+    with Python 3.11, dominated by the n = 6 table row).
     Larger bounds are available behind the explicit arguments.  The
     oracle block draws its random complexes from ``ORACLE_SEED``, so the
     checks a run makes depend on its bounds only.
@@ -220,10 +222,9 @@ def run_verification(table_max_n: int = 6,
     for (n, i) in cells:
         t0 = time.perf_counter()
         fi = fiber_ideal(n, range(1, n + 1), i)
-        K = order_complex(fi.poset)
-        computed[n, i] = (integral_homology(K), reduced_euler(K), fi.consistent,
-                          time.perf_counter() - t0)
-        del fi, K  # free this complex before the next one is built
+        computed[n, i] = (_order_homology(fi.poset), reduced_euler(order_complex(fi.poset)),
+                          fi.consistent, time.perf_counter() - t0)
+        del fi  # free this ideal before the next one is built
     for (n, i) in sorted(computed):
         s, e, consistent, secs = computed[n, i]
         expected = _expected_word_ideal_summary(n, i)
@@ -242,7 +243,7 @@ def run_verification(table_max_n: int = 6,
     # block 3: deranged Rees posets carry free homology of derangement rank
     for n in range(2, rees_max_n + 1):
         t0 = time.perf_counter()
-        s = integral_homology(order_complex(rees_deranged(n)))
+        s = _order_homology(rees_deranged(n))
         expected = make_summary("Z", {n - 1: (derangements(n), ())})
         results.append(CheckResult(
             "deranged Rees homology", f"R({n})", s == expected,
@@ -251,7 +252,7 @@ def run_verification(table_max_n: int = 6,
     # block 4: subword posets have the same homology
     for n in range(1, subword_max_n + 1):
         t0 = time.perf_counter()
-        s = integral_homology(order_complex(subword(n)))
+        s = _order_homology(subword(n))
         expected = make_summary("Z", {n - 1: (derangements(n), ())})
         results.append(CheckResult(
             "subword homology", f"K({n})", s == expected,

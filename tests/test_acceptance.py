@@ -7,7 +7,6 @@ one run on a 2-core Intel Xeon host with Python 3.11).
 """
 
 import hashlib
-import os
 
 import pytest
 
@@ -80,18 +79,6 @@ def test_criterion_3_deranged_rees_ranks(report):
     assert total <= 600, f"Rees block took {total:.0f}s, target is 600s"
     _announce(3, f"deranged Rees homology free of derangement rank, "
                  f"2 <= n <= 6 ({total:.0f}s)", ok)
-
-
-def test_criterion_3_optional_n7():
-    """Optional flagged run: R(7); enable with POSETTOP_RUN_R7=1."""
-    if not os.environ.get("POSETTOP_RUN_R7"):
-        pytest.skip("optional n=7 run; set POSETTOP_RUN_R7=1 to enable")
-    from posettop.complexes import order_complex
-    from posettop.constructions import rees_deranged
-    from posettop.homology import integral_homology, make_summary
-    from posettop.permutations import derangements
-    s = integral_homology(order_complex(rees_deranged(7)))
-    assert s == make_summary("Z", {6: (derangements(7), ())})
 
 
 def test_criterion_4_subword_homology(report):

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -259,6 +260,35 @@ class TestVerifyRunner:
         _, out2 = run_cli(capsys, *args)
         assert out1 == out2
         assert json.loads(out1)["all_passed"] is True
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM")
+    def test_rees_to_8_and_subword_to_6_in_a_child(self, tmp_path):
+        # R(7), R(8) and K(6) get their homology from critical chains; the
+        # child reports its peak resident size (VmHWM, kB) after the run
+        report = tmp_path / "report.json"
+        code = ("import sys\n"
+                "from posettop.cli import main\n"
+                "print(main(sys.argv[1:]))\n"
+                "print(next(line.split()[1] for line in open('/proc/self/status')\n"
+                "           if line.startswith('VmHWM:')))\n")
+        args = ["verify-paper", "--table-max-n", "1", "--rees-max-n", "8",
+                "--subword-max-n", "6", "--mobius-max-n", "1", "--oracle-samples", "1",
+                "--format", "json", "-o", str(report)]
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        t0 = time.perf_counter()
+        done = subprocess.run([sys.executable, "-c", code, *args], env=env,
+                              capture_output=True, text=True, timeout=60)
+        seconds = time.perf_counter() - t0
+        exit_code, peak_kb = done.stdout.splitlines()
+        assert exit_code == "0", done.stderr
+        checks = {c["name"]: c for c in json.loads(report.read_text())["checks"]}
+        assert checks["R(7)"]["expected"] == "H~6=Z^1854"
+        assert checks["R(8)"]["expected"] == "H~7=Z^14833"
+        assert all(checks[name]["passed"] for name in ("R(7)", "R(8)", "K(6)"))
+        assert seconds < 10
+        assert int(peak_kb) < 150 * 1024
 
     def test_threads_flag_is_unrecognized(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -8,6 +8,7 @@ from posettop.cohen_macaulay import (
     CMReport,
     _interval_homology,
     _interval_items,
+    _order_homology,
     _summary_violations,
     cm_preservation_suite,
     cm_report_to_data,
@@ -25,6 +26,7 @@ from posettop.constructions import (
     boolean,
     boolean_minus_bottom,
     chain,
+    fiber_ideal,
     minors,
     rank_select,
     rees,
@@ -32,7 +34,8 @@ from posettop.constructions import (
     subword,
     weighted_segre,
 )
-from posettop.homology import _critical_chains, _place_masks, integral_homology, parse_coefficients
+from posettop.homology import _critical_chains, _place_masks, integral_homology, make_summary, \
+    parse_coefficients
 from posettop.posets import (
     PosetError,
     PurityFailure,
@@ -43,6 +46,7 @@ from posettop.posets import (
     rank_info,
     rank_map,
 )
+from posettop.verification import random_bounded_pure_poset, random_complex
 
 from test_homology import projective_plane
 from test_posets import boolean_top_first, random_pure_bounded_poset
@@ -296,6 +300,30 @@ class TestAcyclicity:
 
     def test_empty_poset_not_acyclic(self):
         assert not is_acyclic_over(build_poset([], []), "Q")
+
+
+class TestOrderHomology:
+    def test_matches_the_homology_engine(self):
+        # the critical-chain route against the cell engine on the order
+        # complex; most answers come from chain sizes, a few (RP^2's
+        # torsion among them) from the route's fall-back to the engine
+        corpus = [build_poset([], []), build_poset(["a"], []), build_poset(["a", "b"], [])]
+        corpus += [fiber_ideal(n, range(1, n + 1), i).poset
+                   for n in range(1, 6) for i in range(1, n + 1)]
+        corpus += [rees_deranged(n) for n in range(2, 6)]
+        corpus += [subword(n) for n in range(1, 5)]
+        corpus += [boolean(n) for n in range(1, 6)]
+        rng = random.Random(5)
+        corpus += [random_bounded_pure_poset(rng, 10) for _ in range(300)]
+        rng = random.Random(7)
+        faces = [face_poset(random_complex(rng)) for _ in range(200)]
+        corpus += faces + [face_poset(projective_plane())]
+        for P in corpus:
+            assert _order_homology(P) == integral_homology(order_complex(P))
+        impure = sum(isinstance(rank_info(P), PurityFailure) for P in faces)
+        assert impure >= 50
+        assert _order_homology(corpus[-1]) == make_summary("Z", {1: (0, (2,))})
+        assert str(_order_homology(corpus[0])) == "empty complex (Z)"
 
 
 class TestPreservationSuite:

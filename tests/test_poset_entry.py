@@ -12,9 +12,17 @@ It is also the only caller of ``homology._place_masks``, which builds the
 pass's input, so the linear extension a pass walks is chosen in that one
 module.
 The verdict helpers assume a nonempty interval, which only that sweep
-and ``is_acyclic_over`` guarantee: ``_interval_homology`` and
-``homology._morse_summary`` are called from ``cohen_macaulay.py`` only,
-and ``_summary_violations`` also from the Koszul test in ``semigroups.py``.
+and ``cohen_macaulay._order_homology`` guarantee: ``_interval_homology``
+and ``homology._morse_summary`` are called from ``cohen_macaulay.py``
+only, and ``_summary_violations`` also from the Koszul test in
+``semigroups.py``.
+
+``_order_homology`` is the one route to the homology of a whole poset's
+order complex through critical chains: ``cohen_macaulay.py``
+(``is_acyclic_over``) and ``verification.py`` (the word-ideal, Rees and
+subword blocks) call it, and in ``verification.py`` the homology engine's
+``integral_homology`` is used only inside ``_oracle_block``, which checks
+that engine.
 
 ``semigroups._divisibility_order`` reads the divisibility order a
 semigroup records as it enumerates, so ``semigroups.py`` is its only
@@ -118,6 +126,13 @@ def test_only_the_layer_walk_adds_vectors():
              "    return itertools.combinations_with_replacement(range(d), d)\n")
     assert scoped_uses(probe, "add", "operator") == ["C.f", "C.f"]
     assert scoped_uses(probe, "combinations_with_replacement", "itertools") == ["h"]
+
+
+def test_whole_posets_take_the_critical_chain_route():
+    callers = {p.name for p in MODULES if calls(p.read_text(), "_order_homology")}
+    assert callers == {"cohen_macaulay.py", "verification.py"}
+    source = (SRC / "verification.py").read_text()
+    assert set(scoped_uses(source, "integral_homology", "homology")) == {"_oracle_block"}
 
 
 @pytest.mark.parametrize("callee, allowed", [
