@@ -96,18 +96,14 @@ def _load_poset(path: str):
     return poset_from_json(_read_text(path))
 
 
-def _load_values_map(path: str) -> dict:
+def _load_labelled(path: str, key: str) -> dict:
+    """The JSON object under ``key`` of the file's JSON object, keyed by
+    label strings: a map file's ``"values"`` or a coloring's ``"colors"``."""
     data = json.loads(_read_text(path))
-    if not isinstance(data, dict) or "values" not in data:
-        raise PosetError('map JSON needs a "values" object')
-    return {str(k): v for k, v in data["values"].items()}
-
-
-def _load_coloring(path: str) -> dict:
-    data = json.loads(_read_text(path))
-    if not isinstance(data, dict) or "colors" not in data:
-        raise PosetError('coloring JSON needs a "colors" object')
-    return {str(k): v for k, v in data["colors"].items()}
+    inner = data.get(key) if isinstance(data, dict) else None
+    if not isinstance(inner, dict):
+        raise PosetError(f'{path}: needs a JSON object with a "{key}" object')
+    return {str(k): v for k, v in inner.items()}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -236,8 +232,8 @@ def _cmd_construct(args) -> int:
     elif args.construction == "segre":
         P = _load_poset(args.first)
         Q = _load_poset(args.second)
-        f = _load_values_map(args.f_map) if args.f_map else rank_map(P)
-        g = _load_values_map(args.g_map) if args.g_map else rank_map(Q)
+        f = _load_labelled(args.f_map, "values") if args.f_map else rank_map(P)
+        g = _load_labelled(args.g_map, "values") if args.g_map else rank_map(Q)
         out = segre(P, f, Q, g)
     else:  # rank-select
         out = rank_select(_load_poset(args.first), args.ranks)
@@ -270,12 +266,12 @@ def _cmd_complex(args) -> int:
         out = barycentric_subdivision(complex_from_json(_read_text(args.complex)))
     elif args.complex_op == "type-select":
         K = complex_from_json(_read_text(args.complex))
-        out = type_select(K, _load_coloring(args.colors), args.keep)
+        out = type_select(K, _load_labelled(args.colors, "colors"), args.keep)
     else:  # segre
         K1 = complex_from_json(_read_text(args.first))
         K2 = complex_from_json(_read_text(args.second))
-        out = complex_segre(K1, _load_coloring(args.first_colors),
-                            K2, _load_coloring(args.second_colors))
+        out = complex_segre(K1, _load_labelled(args.first_colors, "colors"),
+                            K2, _load_labelled(args.second_colors, "colors"))
     _write_text(complex_to_json(out), args.output)
     return 0
 

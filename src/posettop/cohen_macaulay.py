@@ -22,9 +22,11 @@ An interval whose critical chains all sit in dimension ``gap - 2``
 every mode, so the sweep lists only the other intervals.  Each of them
 gets its integral homology from ``_interval_homology``: the critical
 chains fix it when no two sit in adjacent dimensions (free, one
-generator per chain), and otherwise the homology engine,
-``integral_homology`` of the interval's order complex, fixes torsion and
-the failure text.  ``_order_homology`` takes the same two steps on the
+generator per chain), and otherwise the homology engine fixes torsion
+and the failure text.  The engine reads the interval from the swept
+poset's ``above`` masks and the interval's member mask
+(``homology._chain_homology``), so no poset or complex is built per
+interval.  ``_order_homology`` takes the same two steps on the
 interval (0^, 1^) of a whole poset.  No empty interval reaches these
 steps: the sweep passes cover pairs by their lone empty chain and
 ``_order_homology`` answers the empty poset itself, so
@@ -36,14 +38,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union
 
-from .complexes import order_complex
 from .homology import (
     HomologySummary,
+    _chain_homology,
     _critical_chains,
     _morse_summary,
     _place_masks,
     field_name,
-    integral_homology,
     make_summary,
     parse_coefficients,
 )
@@ -51,9 +52,7 @@ from .posets import (
     Poset,
     PosetError,
     PurityFailure,
-    _induced_by_indices,
     augment,
-    iter_bits,
     rank_info,
 )
 
@@ -169,13 +168,13 @@ def _interval_homology(A: Poset, i: int, j: int, sizes) -> HomologySummary:
     indices ``i < j`` of ``A``, given the sizes of its critical chains
     (``_critical_chains(_place_masks(A, order), j).sizes(i)``).  They fix
     the homology unless two of them sit in adjacent dimensions; then the
-    interval is built and its order complex goes to the homology engine.
+    homology engine lays out the chains of the interval from ``A``'s
+    ``above`` masks and the mask of the elements between ``i`` and ``j``.
     """
     summary = _morse_summary(sizes)
     if summary is None:
-        between = A.above_masks()[i] & A.below_masks()[j]
-        interval = _induced_by_indices(A, list(iter_bits(between)))
-        summary = integral_homology(order_complex(interval))
+        above = A.above_masks()
+        summary = _chain_homology(above, above[i] & A.below_masks()[j])
     return summary
 
 

@@ -349,15 +349,20 @@ def type_select(K: SimplicialComplex, coloring: Mapping[Hashable, int],
     """Subcomplex of the faces whose vertex colors all lie in ``keep``.
 
     Vertices missing from ``coloring`` are treated as having no kept
-    color and drop out of the selection.
+    color and drop out of the selection.  A color that is not an integer
+    (a bool included) is refused.
     """
     if K.is_void:
         return void_complex()
     keep = set(keep)
     chosen = set()
     for i, v in enumerate(K.vertices):
-        if v in coloring and coloring[v] in keep:
-            chosen.add(i)
+        if v in coloring:
+            c = coloring[v]
+            if type(c) is not int:
+                raise ComplexError(f"colors must be integers, got {c!r}")
+            if c in keep:
+                chosen.add(i)
     facets = [tuple(i for i in f if i in chosen) for f in K.facets]
     kept_vertices = tuple(v for i, v in enumerate(K.vertices) if i in chosen)
     renumber = {old: new for new, old in
@@ -396,7 +401,7 @@ def complex_segre(K1: SimplicialComplex, coloring1: Mapping,
         if v not in coloring:
             raise ComplexError(f"vertex {display_label(v)!r} has no color")
         c = coloring[v]
-        if not isinstance(c, int) or c < 1:
+        if type(c) is not int or c < 1:  # a bool is no color
             raise ComplexError(f"colors must be integers >= 1, got {c!r}")
         return c
 

@@ -8,7 +8,11 @@ tree, where a cell is its parent (the cell without its last vertex) plus
 one vertex, so each boundary is index arithmetic on the parent's and no
 face tuple or face index is ever built; a layer is written one boundary
 column at a time, over blocks of parents, with a rank lookup in only one
-column of an order complex (``_CellComplex``).  It then shrinks the
+column of an order complex (``_CellComplex``).  An order enters it by
+masks alone: ``_chain_cells(above, members)`` lays out the chains of the
+order on the elements of a bitmask, so an interval of a swept poset
+(``_chain_homology``) and a whole poset's order complex
+(``_cell_complex``) take the same entry.  It then shrinks the
 complex by coreductions, each removing a cell with exactly one live
 facet together with that facet (a homology-preserving deletion that
 leaves the boundary between the other cells as it is), in sweeps that
@@ -24,11 +28,13 @@ Koszul tests, mostly skips the engine: ``_critical_chains`` gives the
 critical chains of poset intervals under an acyclic element matching,
 each chain a small-int id with a size (one id per distinct chain of a
 pass, no bitmask), and the sweep and ``_morse_summary`` read the
-homology off their sizes when no two sit in adjacent dimensions.  A pass
-takes its linear extension as input: ``_place_masks`` turns an order of
-the elements into masks whose bits are places in it, built once per
-swept poset, and the pass walks the elements by those bits and keeps
-each element's critical chains and ids in lists indexed by place.
+homology off their sizes when no two sit in adjacent dimensions;
+otherwise ``cohen_macaulay._interval_homology`` hands the engine the
+interval's masks.  A pass takes its linear extension as input:
+``_place_masks`` turns an order of the elements into masks whose bits
+are places in it, built once per swept poset, and the pass walks the
+elements by those bits and keeps each element's critical chains and ids
+in lists indexed by place.
 """
 
 from __future__ import annotations
@@ -460,20 +466,41 @@ class _CellComplex:
         return self.sizes[1:]
 
 
+def _chain_cells(above: Sequence[int], members: int) -> _CellComplex:
+    """The chain tree of the order on the elements of the bitmask
+    ``members``, where ``above[i]`` has bit ``j`` set iff element ``j``
+    lies above element ``i``.  A chain's state is its top element and the
+    empty chain's is ``len(above)``; only members get a vertex list (the
+    members above them, ascending), so the build's work scales with
+    ``members``, not with ``above``.  Renumbering the members in
+    increasing order keeps every vertex list's order, so the arrays are
+    those of the induced subposet's order complex, byte for byte."""
+    verts: list = [()] * (len(above) + 1)
+    verts[-1] = root = list(iter_bits(members))
+    for i in root:
+        verts[i] = list(iter_bits(above[i] & members))
+    return _CellComplex(verts, verts, len(above), True)
+
+
+def _chain_homology(above: Sequence[int], members: int) -> HomologySummary:
+    """Integral reduced homology of the order complex of the order on
+    ``members`` (``_chain_cells``): one cascade, then SNF of what is left."""
+    cx = _chain_cells(above, members)
+    return _residual_homology(cx, _cascade(cx))
+
+
 def _cell_complex(K: SimplicialComplex) -> _CellComplex:
-    """The chain tree of ``K``'s faces.  An order complex's states are its
-    vertices, plus one for the empty face.  An explicit complex's state of
-    a cell is the set of the parts of the facets through it that lie past
-    its last vertex, as vertex-bit ints; the empty face's parts are the
-    whole facets.  One walk over a state's parts files ``t & (-2 << j)``
-    under each vertex j of part t, and the child at j is the state filed
-    under j, so the up-mask is the union of the parts."""
+    """The chain tree of ``K``'s faces.  An order complex is the chain
+    tree of its whole source poset (``_chain_cells``).  An explicit
+    complex's state of a cell is the set of the parts of the facets
+    through it that lie past its last vertex, as vertex-bit ints; the
+    empty face's parts are the whole facets.  One walk over a state's
+    parts files ``t & (-2 << j)`` under each vertex j of part t, and the
+    child at j is the state filed under j, so the up-mask is the union of
+    the parts."""
     P = K.source_poset
     if P is not None:
-        nv = len(P)
-        verts = [list(iter_bits(m)) for m in P.above_masks()]
-        verts.append(list(range(nv)))
-        return _CellComplex(verts, verts, nv, True)
+        return _chain_cells(P.above_masks(), (1 << len(P)) - 1)
     root = frozenset(sum(1 << v for v in f) for f in K.facets)
     keys, index, verts, kids = [root], {root: 0}, [], []
     for key in keys:  # grows as new states turn up

@@ -682,12 +682,13 @@ class PosetMap:
                 raise PosetError(f"map misses element {display_label(x)!r}")
             vals[x] = values[x]
         self.values = vals
+        # a bool is refused, as JSON's true and false are no numbers
+        if target is None and not all(type(v) is int and v >= 0 for v in vals.values()):
+            raise PosetError("map into the naturals must take values in N")
         strict = True
         for (i, j) in source.covers:
             a, b = vals[source.labels[i]], vals[source.labels[j]]
             if target is None:
-                if not (isinstance(a, int) and isinstance(b, int) and a >= 0 and b >= 0):
-                    raise PosetError("map into the naturals must take values in N")
                 if a > b:
                     raise PosetError("map is not order-preserving")
                 strict = strict and a < b
@@ -695,11 +696,6 @@ class PosetMap:
                 if not target.leq(a, b):
                     raise PosetError("map is not order-preserving")
                 strict = strict and a != b
-        if target is None:
-            for x in source.labels:
-                v = vals[x]
-                if not (isinstance(v, int) and v >= 0):
-                    raise PosetError("map into the naturals must take values in N")
         self.strict = strict
 
     def __call__(self, x):

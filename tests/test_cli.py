@@ -340,6 +340,60 @@ class TestErrors:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("data", [{"values": [1, 2]}, {"values": 3}, [1, 2], {}])
+    @pytest.mark.parametrize("flag", ["--f-map", "--g-map"])
+    def test_malformed_map_is_usage_error(self, capsys, tmp_path, flag, data):
+        c = tmp_path / "c.json"
+        run_cli(capsys, "-o", str(c), "family", "chain", "--n", "2")
+        f = tmp_path / "f.json"
+        f.write_text(json.dumps(data))
+        code = main(["construct", "segre", str(c), str(c), flag, str(f)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.count("\n") == 1 and '"values" object' in captured.err
+
+    @pytest.mark.parametrize("data", [{"colors": 3}, {"colors": ["a"]}, [1], {}])
+    @pytest.mark.parametrize("command", ["type-select", "segre"])
+    def test_malformed_coloring_is_usage_error(self, capsys, tmp_path, command, data):
+        k = tmp_path / "k.json"
+        k.write_text('{"vertices": ["a", "b"], "facets": [["a", "b"]]}')
+        c = tmp_path / "c.json"
+        c.write_text(json.dumps(data))
+        if command == "type-select":
+            argv = ["complex", "type-select", str(k), "--colors", str(c), "--keep", "1"]
+        else:
+            argv = ["complex", "segre", str(k), str(c), str(k), str(c)]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.count("\n") == 1 and '"colors" object' in captured.err
+
+    def test_bool_map_values_are_usage_error(self, capsys, tmp_path):
+        # JSON's false and true are no naturals 0 and 1
+        c = tmp_path / "c.json"
+        run_cli(capsys, "-o", str(c), "family", "chain", "--n", "2")
+        f = tmp_path / "f.json"
+        f.write_text(json.dumps({"values": {"0": False, "1": True}}))
+        code = main(["construct", "segre", str(c), str(c), "--f-map", str(f)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "values in N" in captured.err
+
+    @pytest.mark.parametrize("command", ["type-select", "segre"])
+    def test_bool_colors_are_usage_error(self, capsys, tmp_path, command):
+        k = tmp_path / "k.json"
+        k.write_text('{"vertices": ["a", "b"], "facets": [["a", "b"]]}')
+        c = tmp_path / "c.json"
+        c.write_text(json.dumps({"colors": {"a": True, "b": 2}}))
+        if command == "type-select":
+            argv = ["complex", "type-select", str(k), "--colors", str(c), "--keep", "1"]
+        else:
+            argv = ["complex", "segre", str(k), str(c), str(k), str(c)]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "colors must be integers" in captured.err
+
     def test_size_limit_is_exit_2(self, capsys, tmp_path, monkeypatch):
         # a cap of 10 covers makes the real enumeration stop at degree 2,
         # where the 6 elements below would record 5 up covers each

@@ -34,9 +34,10 @@ from posettop.constructions import (
     subword,
     weighted_segre,
 )
-from posettop.homology import _critical_chains, _place_masks, integral_homology, make_summary, \
-    parse_coefficients
+from posettop.homology import _chain_homology, _critical_chains, _morse_summary, _place_masks, \
+    integral_homology, make_summary, parse_coefficients
 from posettop.posets import (
+    Poset,
     PosetError,
     PurityFailure,
     augment,
@@ -187,11 +188,11 @@ class TestIsCMPoset:
     def test_engine_only_where_critical_chains_touch(self, monkeypatch):
         computed = []
 
-        def spy(K):
-            summary = integral_homology(K)
+        def spy(above, members):
+            summary = _chain_homology(above, members)
             computed.append(str(summary))
             return summary
-        monkeypatch.setattr(cohen_macaulay, "integral_homology", spy)
+        monkeypatch.setattr(cohen_macaulay, "_chain_homology", spy)
         # RP^2's critical chains sit in dimensions 1 and 2: the engine
         # finds the torsion
         r = is_cm_poset(face_poset(projective_plane()), "z-spherical")
@@ -205,6 +206,24 @@ class TestIsCMPoset:
         assert computed == []
         assert is_cm_poset(boolean(4), "z-spherical").verdict
         assert computed == []
+
+    def test_fallback_builds_no_poset_or_complex(self, monkeypatch):
+        # RP^2's critical chains sit in adjacent dimensions, so the engine
+        # runs on (0^, 1^), from the masks of the augmented poset alone
+        from posettop import posets
+        from posettop.complexes import SimplicialComplex
+        A = augment(face_poset(projective_plane()))
+        top = len(A) - 1
+        sizes = list(_critical_chains(_place_masks(A, A.topo_order()), top).sizes(0))
+        assert _morse_summary(sizes) is None
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a poset or complex was built")
+        monkeypatch.setattr(Poset, "_assemble", refuse)
+        monkeypatch.setattr(posets, "_induced_by_indices", refuse)
+        monkeypatch.setattr(cohen_macaulay, "_induced_by_indices", refuse, raising=False)
+        monkeypatch.setattr(SimplicialComplex, "__init__", refuse)
+        assert str(_interval_homology(A, 0, top, sizes)) == "H~1 = Z/2 (Z)"
 
     def test_chain_sizes_decide_cm_intervals(self, monkeypatch):
         # every critical chain of an interval of B5 sits in its top

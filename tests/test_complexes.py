@@ -268,6 +268,16 @@ class TestTypeSelect:
 
 
 class TestComplexSegre:
+    def test_bool_colors_refused(self):
+        # JSON's true is no color 1
+        K = simplicial_complex([1, 2], [[1, 2]])
+        with pytest.raises(ComplexError, match="integers"):
+            complex_segre(K, {1: True, 2: 2}, K, {1: 1, 2: 2})
+        with pytest.raises(ComplexError, match="integers"):
+            complex_segre(K, {1: 1, 2: 2}, K, {1: 1, 2: True})
+        with pytest.raises(ComplexError, match="integers"):
+            type_select(K, {1: True, 2: 2}, {1})
+
     def test_matched_edge(self):
         K = simplicial_complex([1, 2], [[1, 2]])
         c = {1: 1, 2: 2}

@@ -25,6 +25,7 @@ from posettop.homology import (
     HomologySummary,
     _cascade,
     _cell_complex,
+    _chain_cells,
     _critical_chains,
     _morse_summary,
     _place_masks,
@@ -296,6 +297,36 @@ class TestCellComplex:
     def test_matches_tuple_builder_in_small_blocks(self, monkeypatch, block):
         monkeypatch.setattr(homology_module, "_BLOCK", block)
         self.test_matches_tuple_builder()
+
+    def test_interval_masks_match_the_induced_order_complex(self):
+        # the chain tree built from the masks of an interval of augment(P)
+        # is the one of the rebuilt interval's order complex, byte for byte:
+        # renumbering the members in increasing order keeps every vertex
+        # list's order.  Each poset gives (0^, 1^) and up to 150 proper
+        # intervals.
+        from posettop.constructions import fiber_ideal, rees_deranged, subword
+        from posettop.posets import augment
+        from posettop.verification import random_bounded_pure_poset
+        rng = random.Random(31)
+        posets = [fiber_ideal(n, range(1, n + 1), i).poset
+                  for n in range(1, 6) for i in range(1, n + 1)]
+        posets += [rees_deranged(4), subword(4)]
+        posets += [random_bounded_pure_poset(rng) for _ in range(30)]
+        proper = 0
+        for P in posets:
+            A = augment(P)
+            above, below = A.above_masks(), A.below_masks()
+            pairs = [(i, j) for i in range(len(A)) for j in iter_bits(above[i])]
+            pairs.remove((0, len(A) - 1))
+            proper += min(150, len(pairs))
+            for i, j in [(0, len(A) - 1)] + rng.sample(pairs, min(150, len(pairs))):
+                between = above[i] & below[j]
+                cx = _chain_cells(above, between)
+                ref = _cell_complex(order_complex(_induced_by_indices(A, list(iter_bits(between)))))
+                assert cx.sizes == ref.sizes, (P, i, j)
+                assert ([(b.typecode, b.tobytes()) for b in cx.boundary]
+                        == [(b.typecode, b.tobytes()) for b in ref.boundary]), (P, i, j)
+        assert proper > 2000
 
     def test_explicit_complex_matches_order_path(self):
         # where index order is a linear extension, the explicit complex on an

@@ -24,6 +24,11 @@ subword blocks) call it, and in ``verification.py`` the homology engine's
 ``integral_homology`` is used only inside ``_oracle_block``, which checks
 that engine.
 
+The sweep builds no poset or complex per interval: where critical chains
+leave an interval open, ``_interval_homology`` hands the interval's masks
+to ``homology._chain_homology``, so ``cohen_macaulay.py`` names none of
+``order_complex``, ``integral_homology`` or ``_induced_by_indices``.
+
 ``semigroups._divisibility_order`` reads the divisibility order a
 semigroup records as it enumerates, so ``semigroups.py`` is its only
 caller and decides divisibility in one place.  That enumeration,
@@ -69,6 +74,19 @@ def scoped_uses(source: str, name: str, module: str) -> list[str]:
                 found.append(".".join(scope))
             visit(child, scope)
     visit(ast.parse(source), ())
+    return found
+
+
+def names(source: str) -> set[str]:
+    """Every name ``source`` imports, reads or reads as an attribute."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name)
     return found
 
 
@@ -133,6 +151,15 @@ def test_whole_posets_take_the_critical_chain_route():
     assert callers == {"cohen_macaulay.py", "verification.py"}
     source = (SRC / "verification.py").read_text()
     assert set(scoped_uses(source, "integral_homology", "homology")) == {"_oracle_block"}
+
+
+def test_the_sweep_rebuilds_no_interval():
+    rebuilders = {"order_complex", "integral_homology", "_induced_by_indices"}
+    assert names((SRC / "cohen_macaulay.py").read_text()).isdisjoint(rebuilders)
+    probe = ("from .complexes import order_complex\n"
+             "def f(A, m):\n"
+             "    return homology.integral_homology(posets._induced_by_indices(A, m))\n")
+    assert names(probe) >= rebuilders
 
 
 @pytest.mark.parametrize("callee, allowed", [

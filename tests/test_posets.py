@@ -527,6 +527,14 @@ class TestPosetMap:
         with pytest.raises(PosetError):
             PosetMap(C, {0: 1, 1: 0})
 
+    @pytest.mark.parametrize("values", [{0: False, 1: True}, {0: 0, 1: True},
+                                        {0: 0, 1: 1.0}, {0: -1, 1: 1}])
+    def test_values_outside_n_rejected(self, values):
+        # a bool is refused, though Python counts it an int
+        C = build_poset([0, 1], [(0, 1)])
+        with pytest.raises(PosetError, match="values in N"):
+            PosetMap(C, values)
+
     def test_weak_map_not_strict(self):
         C = build_poset([0, 1], [(0, 1)])
         f = PosetMap(C, {0: 0, 1: 0})

@@ -16,6 +16,7 @@ from posettop.cohen_macaulay import (
 from posettop.complexes import order_complex
 from posettop.constructions import boolean, chain, rees, weighted_segre
 from posettop.homology import (
+    _chain_homology,
     _critical_chains,
     _place_masks,
     integral_homology,
@@ -416,10 +417,10 @@ class TestKoszulTest:
         monkeypatch.setattr(cohen_macaulay, "augment", refuse)
         computed = []
 
-        def spy(K):
-            computed.append(K)
-            return integral_homology(K)
-        monkeypatch.setattr(cohen_macaulay, "integral_homology", spy)
+        def spy(above, members):
+            computed.append(members)
+            return _chain_homology(above, members)
+        monkeypatch.setattr(cohen_macaulay, "_chain_homology", spy)
         assert koszul_necessary_test(natural_semigroup(3), 4).passed
         assert computed == []
         S = punctured_veronese_semigroup(3)
