@@ -19,7 +19,9 @@ from typing import Optional, Sequence
 
 from .cohen_macaulay import cm_report_to_data, is_cm_poset
 from .complexes import (
+    ComplexError,
     barycentric_subdivision,
+    complex_from_data,
     complex_from_json,
     complex_segre,
     complex_to_json,
@@ -39,7 +41,7 @@ from .constructions import (
     subword,
 )
 from .homology import homology, parse_coefficients, summary_to_data
-from .posets import PosetError, poset_from_json, poset_to_json, rank_map
+from .posets import PosetError, poset_from_data, poset_from_json, poset_to_json, rank_map
 from .semigroups import (
     koszul_necessary_test,
     natural_semigroup,
@@ -169,9 +171,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("second", help="complex JSON file")
     p.add_argument("second_colors", help="coloring JSON file")
 
-    h = sub.add_parser("homology", parents=[out], help="reduced homology of a complex")
+    h = sub.add_parser("homology", parents=[out],
+                       help="reduced homology of a complex or of a poset's order complex")
     h.add_argument("complex", nargs="?", default="-",
-                   help="complex JSON file (default: stdin)")
+                   help="complex or poset JSON file (default: stdin)")
     h.add_argument("--coefficients", type=_coefficients, default="z",
                    help="z | q | gf:p (default z)")
 
@@ -277,7 +280,17 @@ def _cmd_complex(args) -> int:
 
 
 def _cmd_homology(args) -> int:
-    K = complex_from_json(_read_text(args.complex))
+    """A complex file is answered as it stands; a poset file through its
+    order complex, whose chains the engine walks without listing facets."""
+    data = json.loads(_read_text(args.complex))
+    keys = set(data) if isinstance(data, dict) else set()
+    if {"vertices", "facets"} <= keys:
+        K = complex_from_data(data)
+    elif {"elements", "covers"} <= keys:
+        K = order_complex(poset_from_data(data))
+    else:
+        raise ComplexError('homology needs a complex ("vertices", "facets") '
+                           'or a poset ("elements", "covers")')
     summary = homology(K, args.coefficients)
     _write_text(json.dumps(summary_to_data(summary)) + "\n", args.output)
     return 0

@@ -23,10 +23,11 @@ every mode, so the sweep lists only the other intervals.  Each of them
 gets its integral homology from ``_interval_homology``: the critical
 chains fix it when no two sit in adjacent dimensions (free, one
 generator per chain), and otherwise the homology engine fixes torsion
-and the failure text.  The engine reads the interval from the swept
-poset's ``above`` masks and the interval's member mask
-(``homology._chain_homology``), so no poset or complex is built per
-interval.  ``_order_homology`` takes the same two steps on the
+and the failure text.  The engine reads the interval from the sweep's
+extension: the ``above`` masks by place and the mask of the interval's
+places (``homology._chain_homology``), so it numbers the chains along the
+same ``topo_order()`` the pass walks, and no poset or complex is built
+per interval.  ``_order_homology`` takes the same two steps on the
 interval (0^, 1^) of a whole poset.  No empty interval reaches these
 steps: the sweep passes cover pairs by their lone empty chain and
 ``_order_homology`` answers the empty poset itself, so
@@ -137,7 +138,7 @@ def _undecided_intervals(A: Poset, rank: Sequence[int], uppers: Iterable[int]):
             k = top - rank[i]  # elements of a chain in dimension gap - 2
             for c in chains:
                 if size[c] != k:
-                    yield i, j, _interval_homology(A, i, j, map(size.__getitem__, chains))
+                    yield i, j, _interval_homology(extension, i, j, map(size.__getitem__, chains))
                     break
 
 
@@ -163,18 +164,20 @@ def _interval_items(P: Poset):
         yield labels[i], labels[j], rank[j] - rank[i], summary
 
 
-def _interval_homology(A: Poset, i: int, j: int, sizes) -> HomologySummary:
+def _interval_homology(extension: tuple, i: int, j: int, sizes) -> HomologySummary:
     """Integral reduced homology of the nonempty open interval between the
-    indices ``i < j`` of ``A``, given the sizes of its critical chains
-    (``_critical_chains(_place_masks(A, order), j).sizes(i)``).  They fix
-    the homology unless two of them sit in adjacent dimensions; then the
-    homology engine lays out the chains of the interval from ``A``'s
-    ``above`` masks and the mask of the elements between ``i`` and ``j``.
+    elements ``i < j`` of a poset, given its linear extension
+    ``extension = _place_masks(A, order)`` and the sizes of the interval's
+    critical chains (``_critical_chains(extension, j).sizes(i)``).  They
+    fix the homology unless two of them sit in adjacent dimensions; then
+    the homology engine lays out the chains of the interval on the same
+    extension's places: the ``above`` masks by place and the mask of the
+    places between ``i`` and ``j``.
     """
     summary = _morse_summary(sizes)
     if summary is None:
-        above = A.above_masks()
-        summary = _chain_homology(above, above[i] & A.below_masks()[j])
+        order, above, below = extension
+        summary = _chain_homology(list(map(above.__getitem__, order)), above[i] & below[j])
     return summary
 
 
@@ -246,8 +249,8 @@ def _order_homology(P: Poset) -> HomologySummary:
         return make_summary("Z", {}, empty_complex=True)
     A = augment(P)
     top = len(A) - 1
-    sizes = _critical_chains(_place_masks(A, A.topo_order()), top).sizes(0)
-    return _interval_homology(A, 0, top, sizes)
+    extension = _place_masks(A, A.topo_order())
+    return _interval_homology(extension, 0, top, _critical_chains(extension, top).sizes(0))
 
 
 def is_acyclic_over(P: Poset, coeffs: CoeffSpec) -> bool:

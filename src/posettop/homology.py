@@ -12,16 +12,21 @@ column of an order complex (``_CellComplex``).  An order enters it by
 masks alone: ``_chain_cells(above, members)`` lays out the chains of the
 order on the elements of a bitmask, so an interval of a swept poset
 (``_chain_homology``) and a whole poset's order complex
-(``_cell_complex``) take the same entry.  It then shrinks the
-complex by coreductions, each removing a cell with exactly one live
-facet together with that facet (a homology-preserving deletion that
-leaves the boundary between the other cells as it is), in sweeps that
-read only facets (``_cascade``), and runs exact Smith normal form on
-what is left.  The integral groups fix the homology over every field
-by the universal coefficient theorem, so ``betti`` derives field Betti
-numbers from them (``HomologySummary.over_field``).  The dense field
-ranks of ``intmatrix`` stay the independent reference the test suite
-checks this engine against.
+(``_cell_complex``) take the same entry.  Both number the elements by
+their places in a ``topo_order()`` linear extension, the swept poset's
+or the poset's own, never by index: the numbering fixes the order in
+which the greedy coreductions below meet the cells, so it decides how
+many survive (not the answer), and it follows the extension the
+critical-chain pass walks rather than the caller's labels.  The engine
+then shrinks the complex by coreductions, each removing a cell with
+exactly one live facet together with that facet (a homology-preserving
+deletion that leaves the boundary between the other cells as it is),
+in sweeps that read only facets (``_cascade``), and runs exact Smith
+normal form on what is left.  The integral groups fix the homology
+over every field by the universal coefficient theorem, so ``betti``
+derives field Betti numbers from them (``HomologySummary.over_field``).
+The dense field ranks of ``intmatrix`` stay the independent reference
+the test suite checks this engine against.
 
 The interval sweep of ``cohen_macaulay``, which serves the CM and the
 Koszul tests, mostly skips the engine: ``_critical_chains`` gives the
@@ -30,7 +35,7 @@ each chain a small-int id with a size (one id per distinct chain of a
 pass, no bitmask), and the sweep and ``_morse_summary`` read the
 homology off their sizes when no two sit in adjacent dimensions;
 otherwise ``cohen_macaulay._interval_homology`` hands the engine the
-interval's masks.  A pass takes its linear extension as input:
+interval's place masks.  A pass takes its linear extension as input:
 ``_place_masks`` turns an order of the elements into masks whose bits
 are places in it, built once per swept poset, and the pass walks the
 elements by those bits and keeps each element's critical chains and ids
@@ -248,11 +253,17 @@ def _place_masks(P: Poset, order: Sequence[int]) -> tuple[tuple[int, ...], list[
     above (below) element ``i``.  So the bits of a mask read from the top
     down list its elements in decreasing place."""
     order = tuple(order)
+    place = _places(order)
+    return (order, P._closure(P._up_adj, reversed(order), place),
+            P._closure(P._down_adj, order, place))
+
+
+def _places(order: Sequence[int]) -> list[int]:
+    """``place[i]`` is the position of element ``i`` in ``order``."""
     place = [0] * len(order)
     for p, i in enumerate(order):
         place[i] = p
-    return (order, P._closure(P._up_adj, reversed(order), place),
-            P._closure(P._down_adj, order, place))
+    return place
 
 
 def _critical_chains(extension: tuple, y: int) -> _CriticalChains:
@@ -468,13 +479,19 @@ class _CellComplex:
 
 def _chain_cells(above: Sequence[int], members: int) -> _CellComplex:
     """The chain tree of the order on the elements of the bitmask
-    ``members``, where ``above[i]`` has bit ``j`` set iff element ``j``
-    lies above element ``i``.  A chain's state is its top element and the
-    empty chain's is ``len(above)``; only members get a vertex list (the
-    members above them, ascending), so the build's work scales with
-    ``members``, not with ``above``.  Renumbering the members in
-    increasing order keeps every vertex list's order, so the arrays are
-    those of the induced subposet's order complex, byte for byte."""
+    ``members``, laid out on the places of a linear extension: element
+    ``i`` is the one at place ``i``, and ``above[i]`` has bit ``j`` set iff
+    the element at place ``j`` lies above it.  A chain's state is its top
+    place and the empty chain's is ``len(above)``; only members get a
+    vertex list (the members above them, ascending), so the build's work
+    scales with ``members``, not with ``above``.  A chain's vertices in
+    increasing place are its elements from the bottom up, and renumbering
+    the members in increasing place keeps every vertex list's order, so
+    the arrays are those of the induced order laid out on the places the
+    extension gives its elements, byte for byte.  Both callers number
+    along a ``topo_order()``: ``_cell_complex`` along a whole poset's, and
+    ``_chain_homology`` along the swept poset's, for
+    ``cohen_macaulay._interval_homology``."""
     verts: list = [()] * (len(above) + 1)
     verts[-1] = root = list(iter_bits(members))
     for i in root:
@@ -491,16 +508,23 @@ def _chain_homology(above: Sequence[int], members: int) -> HomologySummary:
 
 def _cell_complex(K: SimplicialComplex) -> _CellComplex:
     """The chain tree of ``K``'s faces.  An order complex is the chain
-    tree of its whole source poset (``_chain_cells``).  An explicit
-    complex's state of a cell is the set of the parts of the facets
-    through it that lie past its last vertex, as vertex-bit ints; the
-    empty face's parts are the whole facets.  One walk over a state's
+    tree of its whole source poset (``_chain_cells``), numbered along the
+    poset's ``topo_order()``: vertex ``p`` is the element at place ``p``,
+    and its ``above`` mask is the up half of
+    ``_place_masks(P, P.topo_order())``, read by place (the ``below`` half
+    is not built).  The numbering decides only which cells the greedy
+    cascade pairs, not the cells.  An
+    explicit complex's state of a cell is the set of the parts of the
+    facets through it that lie past its last vertex, as vertex-bit ints;
+    the empty face's parts are the whole facets.  One walk over a state's
     parts files ``t & (-2 << j)`` under each vertex j of part t, and the
     child at j is the state filed under j, so the up-mask is the union of
     the parts."""
     P = K.source_poset
     if P is not None:
-        return _chain_cells(P.above_masks(), (1 << len(P)) - 1)
+        order = P.topo_order()
+        above = P._closure(P._up_adj, reversed(order), _places(order))
+        return _chain_cells(list(map(above.__getitem__, order)), (1 << len(P)) - 1)
     root = frozenset(sum(1 << v for v in f) for f in K.facets)
     keys, index, verts, kids = [root], {root: 0}, [], []
     for key in keys:  # grows as new states turn up

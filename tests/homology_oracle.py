@@ -7,7 +7,9 @@ its derivation of field answers from integral ones.
 over Q and modular elimination over GF(p); ``snf_homology`` takes the
 Smith normal form of every boundary matrix.  ``tuple_cell_complex``
 builds the engine's cell arrays from face tuples and a dict index of
-each layer, without the chain tree's index arithmetic.
+each layer, without the chain tree's index arithmetic; it numbers an
+order complex's vertices along a linear extension as the engine does,
+but lists the chains on its own.
 ``reference_critical_chains`` runs the critical-chain recursion over
 every element of each interval, critical chains or none, on bitmasks;
 ``decode_critical_chains`` turns the engine's chain ids into the same
@@ -68,15 +70,23 @@ def snf_homology(K) -> HomologySummary:
     return make_summary("Z", groups)
 
 
-def tuple_cell_complex(K) -> SimpleNamespace:
+def tuple_cell_complex(K, order=None) -> SimpleNamespace:
     """``sizes`` and ``boundary`` of the engine's cell complex, built by
-    looking each facet tuple up in a dict of the layer below."""
+    looking each facet tuple up in a dict of the layer below.  An order
+    complex's chains are listed by ``poset_chains_by_size`` and numbered
+    by their elements' places in ``order``, by default the source poset's
+    ``topo_order()``; each layer is then sorted."""
     P = K.source_poset
-    layers = [[()], *(K.faces_by_dim() if P is None else poset_chains_by_size(P))]
-    sizes = [len(layer) for layer in layers]
+    if P is None:
+        layers = K.faces_by_dim()
+    else:
+        place = {v: p for p, v in enumerate(P.topo_order() if order is None else order)}
+        layers = [sorted(tuple(map(place.__getitem__, c)) for c in layer)
+                  for layer in poset_chains_by_size(P)]
+    sizes = [1, *map(len, layers)]
     boundary = []
     index: dict = {}
-    for layer in layers:
+    for layer in [[()], *layers]:
         bnd = array("i")
         for f in layer:
             for drop in range(len(f)):

@@ -140,6 +140,38 @@ class TestComplexAndHomology:
         assert json.loads(out)["dims"] == {"1": {"betti": 1, "torsion": []},
                                            "2": {"betti": 1, "torsion": []}}
 
+    @pytest.mark.parametrize("family, args", [
+        ("fiber-ideal", ("--n", "5", "--i", "3")),
+        ("rees-deranged", ("--n", "5")),
+    ])
+    def test_poset_file_matches_the_order_complex_route(self, capsys, tmp_path, family, args):
+        # a poset file is answered through its order complex, with the
+        # JSON the explicit complex of its maximal chains gets
+        p, k = tmp_path / "p.json", tmp_path / "k.json"
+        run_cli(capsys, "-o", str(p), "family", family, *args)
+        run_cli(capsys, "-o", str(k), "complex", "order-complex", str(p))
+        for coefficients in ("z", "gf:2"):
+            code, direct = run_cli(capsys, "homology", str(p), "--coefficients", coefficients)
+            assert code == 0
+            code, explicit = run_cli(capsys, "homology", str(k), "--coefficients", coefficients)
+            assert code == 0 and direct == explicit
+        assert json.loads(direct)["dims"]
+
+    @pytest.mark.parametrize("data", [
+        {"elements": ["a"]},
+        {"facets": [["a"]]},
+        {"elements": ["a"], "covers": 5},
+        [["a", "b"]],
+        "poset",
+    ], ids=["no-covers", "no-vertices", "covers-int", "list", "string"])
+    def test_homology_refuses_other_json(self, capsys, tmp_path, data):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        code = main(["homology", str(bad)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == "" and captured.err.startswith("error: ")
+
 
 class TestCM:
     def test_cm_verdict_exit_codes(self, capsys, tmp_path):

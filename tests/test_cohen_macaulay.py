@@ -49,7 +49,7 @@ from posettop.posets import (
 )
 from posettop.verification import random_bounded_pure_poset, random_complex
 
-from test_homology import projective_plane
+from test_homology import projective_plane, shuffled
 from test_posets import boolean_top_first, random_pure_bounded_poset
 
 
@@ -91,7 +91,7 @@ def per_pair_interval_items(P):
         for i, chains in crit.chains.items():
             k = rank[j] - rank[i] - 1
             if k > 1 and any(crit.size[c] != k for c in chains):
-                summaries[i, j] = _interval_homology(A, i, j, crit.sizes(i))
+                summaries[i, j] = _interval_homology(extension, i, j, crit.sizes(i))
     for i in range(len(A)):
         for j in iter_bits(A.above_masks()[i]):
             yield (A.labels[i], A.labels[j], rank[j] - rank[i], summaries.get((i, j)))
@@ -209,12 +209,13 @@ class TestIsCMPoset:
 
     def test_fallback_builds_no_poset_or_complex(self, monkeypatch):
         # RP^2's critical chains sit in adjacent dimensions, so the engine
-        # runs on (0^, 1^), from the masks of the augmented poset alone
+        # runs on (0^, 1^), from the sweep's place masks alone
         from posettop import posets
         from posettop.complexes import SimplicialComplex
         A = augment(face_poset(projective_plane()))
         top = len(A) - 1
-        sizes = list(_critical_chains(_place_masks(A, A.topo_order()), top).sizes(0))
+        extension = _place_masks(A, A.topo_order())
+        sizes = list(_critical_chains(extension, top).sizes(0))
         assert _morse_summary(sizes) is None
 
         def refuse(*args, **kwargs):
@@ -223,7 +224,7 @@ class TestIsCMPoset:
         monkeypatch.setattr(posets, "_induced_by_indices", refuse)
         monkeypatch.setattr(cohen_macaulay, "_induced_by_indices", refuse, raising=False)
         monkeypatch.setattr(SimplicialComplex, "__init__", refuse)
-        assert str(_interval_homology(A, 0, top, sizes)) == "H~1 = Z/2 (Z)"
+        assert str(_interval_homology(extension, 0, top, sizes)) == "H~1 = Z/2 (Z)"
 
     def test_chain_sizes_decide_cm_intervals(self, monkeypatch):
         # every critical chain of an interval of B5 sits in its top
@@ -343,6 +344,29 @@ class TestOrderHomology:
         assert impure >= 50
         assert _order_homology(corpus[-1]) == make_summary("Z", {1: (0, (2,))})
         assert str(_order_homology(corpus[0])) == "empty complex (Z)"
+
+    def test_relabelling_changes_no_answer(self):
+        # both routes number an order complex along topo_order(), so a
+        # relabelling may change what the cascade leaves, never an answer:
+        # each route returns the same summary object for P and a copy of
+        # P with shuffled labels
+        corpus = [fiber_ideal(n, range(1, n + 1), i).poset
+                  for n in range(1, 5) for i in range(1, n + 1)]
+        corpus += [rees_deranged(3), rees_deranged(4), subword(3), subword(4)]
+        corpus.append(face_poset(projective_plane()))
+        rng = random.Random(41)
+        corpus += [random_bounded_pure_poset(rng) for _ in range(30)]
+        faces = [face_poset(random_complex(rng)) for _ in range(40)]
+        corpus += [F for F in faces if isinstance(rank_info(F), PurityFailure)][:10]
+        assert len(corpus) == 55
+        moved = 0
+        for P in corpus:
+            Q = shuffled(P, rng)
+            moved += Q.labels != P.labels
+            assert integral_homology(order_complex(Q)) is integral_homology(order_complex(P))
+            assert _order_homology(Q) is _order_homology(P)
+        assert moved >= 50
+        assert integral_homology(order_complex(corpus[14])) is make_summary("Z", {1: (0, (2,))})
 
 
 class TestPreservationSuite:

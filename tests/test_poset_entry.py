@@ -10,7 +10,13 @@ attribute ``Poset``.
 and the Koszul tests call, so ``cohen_macaulay.py`` is its only caller.
 It is also the only caller of ``homology._place_masks``, which builds the
 pass's input, so the linear extension a pass walks is chosen in that one
-module.
+module.  The homology engine lays out every order complex on the places
+of a ``topo_order()``: the sweep's extension in
+``cohen_macaulay._interval_homology``, and a whole poset's up-closure by
+place (``homology._places``) in ``homology._cell_complex``.  Neither reads
+``above_masks()``, which numbers by index, and they are the only callers
+of the chain-tree layout ``homology._chain_cells`` (through
+``_chain_homology`` for the sweep).
 The verdict helpers assume a nonempty interval, which only that sweep
 and ``cohen_macaulay._order_homology`` guarantee: ``_interval_homology``
 and ``homology._morse_summary`` are called from ``cohen_macaulay.py``
@@ -25,8 +31,8 @@ subword blocks) call it, and in ``verification.py`` the homology engine's
 that engine.
 
 The sweep builds no poset or complex per interval: where critical chains
-leave an interval open, ``_interval_homology`` hands the interval's masks
-to ``homology._chain_homology``, so ``cohen_macaulay.py`` names none of
+leave an interval open, ``_interval_homology`` hands the interval's place
+masks to ``homology._chain_homology``, so ``cohen_macaulay.py`` names none of
 ``order_complex``, ``integral_homology`` or ``_induced_by_indices``.
 
 ``semigroups._divisibility_order`` reads the divisibility order a
@@ -122,6 +128,40 @@ def test_only_the_interval_sweep_builds_place_masks():
     callers = {p.name for p in MODULES if calls(p.read_text(), "_place_masks")}
     assert callers == {"cohen_macaulay.py"}
     assert calls("ext = homology._place_masks(A, A.topo_order())\n", "_place_masks") == [1]
+    # the cell complex builds only the up half, on the same places
+    assert {p.name for p in MODULES if calls(p.read_text(), "_places")} == {"homology.py"}
+    source = (SRC / "homology.py").read_text()
+    assert set(scoped_uses(source, "_places", "homology")) == {"_place_masks", "_cell_complex"}
+
+
+def function_source(source: str, name: str) -> str:
+    """The source of the function ``name`` defined in ``source``."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == name:
+            return ast.unparse(node)
+    raise LookupError(name)
+
+
+@pytest.mark.parametrize("module, function", [
+    ("homology.py", "_cell_complex"),
+    ("cohen_macaulay.py", "_interval_homology"),
+])
+def test_order_complexes_are_laid_out_on_places(module, function):
+    assert "above_masks" not in names(function_source((SRC / module).read_text(), function))
+
+
+def test_only_place_layouts_reach_the_chain_tree():
+    source = (SRC / "homology.py").read_text()
+    uses = set(scoped_uses(source, "_chain_cells", "homology"))
+    assert uses == {"_chain_homology", "_cell_complex"}
+    assert {p.name for p in MODULES if calls(p.read_text(), "_chain_cells")} == {"homology.py"}
+    callers = {p.name for p in MODULES if calls(p.read_text(), "_chain_homology")}
+    assert callers == {"cohen_macaulay.py"}
+    source = (SRC / "cohen_macaulay.py").read_text()
+    assert set(scoped_uses(source, "_chain_homology", "homology")) == {"_interval_homology"}
+    probe = ("def _cell_complex(K):\n"
+             "    return _chain_cells(K.source_poset.above_masks(), -1)\n")
+    assert "above_masks" in names(function_source(probe, "_cell_complex"))
 
 
 def test_only_semigroups_builds_divisibility_orders():

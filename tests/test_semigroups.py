@@ -124,6 +124,7 @@ def two_poset_koszul(S, max_rank, coeffs):
     T = reference_divisibility_poset(S, [x for layer in layers for x in layer])
     D = dual(T)
     crit = _critical_chains(_place_masks(D, D.topo_order()), 0)
+    extension = _place_masks(T, T.topo_order())
     checked, runs = len(layers[2]), 0
     for m in range(3, max_rank + 1):
         for lam in layers[m]:
@@ -132,7 +133,7 @@ def two_poset_koszul(S, max_rank, coeffs):
             j = T.index(lam)
             if all(s == m - 1 for s in crit.sizes(j)):
                 continue
-            summary = cohen_macaulay._interval_homology(T, 0, j, crit.sizes(j))
+            summary = cohen_macaulay._interval_homology(extension, 0, j, crit.sizes(j))
             bad = _summary_violations(summary, m, mode)
             if bad:
                 return KoszulReport(False, max_rank, name, witness=(lam, "; ".join(bad)),
